@@ -6,7 +6,9 @@ The library provides:
 * explicit small groups with full subgroup-lattice enumeration and
   Smith-normal-form type computations;
 * the convolution algebra of abelian functions (unit delta, Moebius
-  inverse, totient, generating-set counters) over exact rationals;
+  inverse, totient, generating-set counters) over exact rationals, summed
+  through (subgroup type, quotient type) multisets computed from Hall
+  numbers per prime;
 * counting formulas for Hom/Mono/Epi/Aut, subgroup counts by type,
   Gaussian binomials, and order-profile classification;
 * the interstice/isometry machinery deciding when translations plus

@@ -31,7 +31,13 @@ from .functions import (
     one,
 )
 from .grouptype import GroupType, parse_group_spec, types_up_to
-from .lattice import ConcreteGroup, all_subgroups, set_max_lattice_order
+from .lattice import (
+    ConcreteGroup,
+    _lattice_pairs,
+    all_subgroups,
+    set_max_lattice_order,
+    subgroup_quotient_pairs,
+)
 from .symgen import Permutation, Transposition, generates_full_symmetric, isometry_group_order
 
 __all__ = ["main"]
@@ -299,6 +305,17 @@ def _suite_symgen(bound: int) -> tuple[int, list[str]]:
     return checked, bad
 
 
+def _suite_pairs(bound: int) -> tuple[int, list[str]]:
+    checked, bad = 0, []
+    for T in types_up_to(bound):
+        checked += 1
+        got = subgroup_quotient_pairs(T)
+        want = _lattice_pairs(T.invariant_factors)
+        if got != want:
+            bad.append(f"pairs({T}): Hall route {got} != lattice route {want}")
+    return checked, bad
+
+
 _SUITES: dict[str, Callable[[int], tuple[int, list[str]]]] = {
     "mu": _suite_mu,
     "homs": _suite_homs,
@@ -306,6 +323,7 @@ _SUITES: dict[str, Callable[[int], tuple[int, list[str]]]] = {
     "freefuncs": _suite_freefuncs,
     "isometries": _suite_isometries,
     "symgen": _suite_symgen,
+    "pairs": _suite_pairs,
 }
 
 

@@ -1,9 +1,10 @@
 """Morphism and subgroup counting between finite abelian group types.
 
 Hom cardinalities come from the bilinear gcd product over invariant factors;
-Mono/Epi/Aut are obtained by Moebius inversion over the subgroup lattice,
-and the number of subgroups of a fixed type is Mono/Aut (an exact division;
-a remainder indicates a bug).  Order profiles implement the classification
+Mono/Epi/Aut are obtained by Moebius inversion over subgroups, summed
+through the type-level (subgroup type, quotient type) multiset, and the
+number of subgroups of a fixed type is Mono/Aut (an exact division; a
+remainder indicates a bug).  Order profiles implement the classification
 theorems as decision procedures, and ``conjecture_search`` scans for
 equal-order types with identical subgroup-order profiles (it reports,
 never asserts).
@@ -17,7 +18,7 @@ from math import gcd
 
 from .functions import mu_closed
 from .grouptype import GroupType, cyclic, is_prime, types_of_order
-from .lattice import _lattice, _type_profile, subgroup_quotient_pairs
+from .lattice import _type_profile, subgroup_quotient_pairs
 
 __all__ = [
     "OrderProfile",
@@ -65,7 +66,8 @@ def mono_count(A: GroupType, B: GroupType) -> int:
             m = mu_closed(qt)
             if m:
                 total += mult * m * hom_count(ht, B)
-        assert total >= 0, f"negative monomorphism count for {A}, {B}"
+        if total < 0:
+            raise AssertionError(f"negative monomorphism count for {A}, {B} (bug)")
         cached = _mono_memo.setdefault(key, total)
     return cached
 
@@ -78,7 +80,8 @@ def epi_count(A: GroupType, B: GroupType) -> int:
 def aut_count(B: GroupType) -> int:
     """|Aut(B)| = |Mono(B, B)|; at least 1."""
     n = mono_count(B, B)
-    assert n >= 1, f"automorphism count of {B} must be positive"
+    if n < 1:
+        raise AssertionError(f"automorphism count of {B} must be positive (bug)")
     return n
 
 
@@ -111,7 +114,8 @@ def gaussian_subspace_count(p: int, n: int, d: int) -> int:
         num *= p**n - p**i
         den *= p**d - p**i
     q, r = divmod(num, den)
-    assert r == 0, "Gaussian binomial is not integral (bug)"
+    if r:
+        raise AssertionError("Gaussian binomial is not integral (bug)")
     return q
 
 
@@ -121,11 +125,11 @@ def element_order_profile(A: GroupType) -> OrderProfile:
 
 
 def subgroup_order_profile(A: GroupType, max_order: int | None = None) -> OrderProfile:
-    """Counts of subgroups by order, from full lattice enumeration."""
-    from .lattice import _check_lattice_bound
-
-    _check_lattice_bound(A.order, max_order)
-    counts = Counter(len(idxs) for idxs, _ in _lattice(A.invariant_factors))
+    """Counts of subgroups by order, summed from the (subgroup type,
+    quotient type) multiset; refuses types above the lattice bound."""
+    counts: Counter = Counter()
+    for (ht, _), mult in subgroup_quotient_pairs(A, max_order).items():
+        counts[ht.order] += mult
     return dict(sorted(counts.items()))
 
 

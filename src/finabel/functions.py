@@ -5,10 +5,13 @@ constant on isomorphism classes.  The convolution
 
     (f * g)(G) = sum over subgroups H of G of f(H) * g(G/H)
 
-runs over all subgroups of a concrete model of G (not just isomorphism
-classes); delta (1 on the trivial group) is the unit, and every f with
-f(1) != 0 has a convolution inverse computed by recursion over proper
-subgroups.
+runs over all subgroups of G, not just their isomorphism classes, so it
+depends only on the multiset of (subgroup type, quotient type) pairs of G.
+That multiset comes from Hall numbers per prime, combined over the primes
+(``lattice.subgroup_quotient_pairs``, :mod:`finabel.hall`); no subgroup is
+enumerated.  The subgroup-lattice route is kept as its oracle.  delta (1 on
+the trivial group) is the unit, and every f with f(1) != 0 has a
+convolution inverse computed by recursion over proper subgroups.
 
 Scalars are exact: Python ints and ``fractions.Fraction``, never floats.
 Evaluations are memoized per canonical type; memo entries are write-once and
@@ -16,10 +19,10 @@ idempotent, so concurrent readers and redundant concurrent writers are safe
 under the GIL (evaluation itself is pure).
 
 Functions flagged ``multiplicative`` may evaluate through their primary
-decomposition, f(G) = product of f over the p-parts of G, which avoids
-lattice enumeration for large squarefree orders.  The flag is an assertion
-about the function (tests verify it); plain lattice evaluation is always
-available through :meth:`AbelianFunction.eval_by_rule`.
+decomposition, f(G) = product of f over the p-parts of G, which keeps
+large squarefree orders under the lattice bound.  The flag is an assertion
+about the function (tests verify it); evaluation by the defining rule is
+always available through :meth:`AbelianFunction.eval_by_rule`.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class AbelianFunction:
 
 
 def convolve(f: AbelianFunction, g: AbelianFunction, name: str | None = None) -> AbelianFunction:
-    """Convolution over the subgroup lattice of a concrete model of G."""
+    """Convolution: the sum over subgroups H of G of f(H) g(G/H)."""
 
     def rule(G: GroupType) -> Fraction:
         total = Fraction(0)

@@ -1,0 +1,193 @@
+"""(Subgroup type, quotient type) multisets from Hall numbers.
+
+A finite abelian p-group is named by a partition lambda (the exponents of
+its cyclic factors).  Its subgroups of type nu with quotient of type mu are
+counted by the Hall number g^lambda_{mu nu}(p), the structure constant of
+the Hall algebra, u_mu u_nu = sum over lambda of g^lambda_{mu nu}(p) u_lambda
+(Macdonald, *Symmetric Functions and Hall Polynomials*, Ch. II, section 4).
+Two facts give every Hall number:
+
+* the Pieri rule, Macdonald II (4.6): u_mu u_(1^m) is supported on the
+  lambda for which lambda/mu is a *vertical* m-strip (lambda_i - mu_i in
+  {0, 1} row by row), with an explicit coefficient;
+* the words E(nu) = u_(1^nu'_1) ... u_(1^nu'_r) are triangular over the
+  u_nu in dominance order, so each u_nu is a rational combination of
+  E-words and u_mu u_nu is a sum of Pieri chains.
+
+The multiset of a group is the product of the multisets of its p-parts
+(its subgroup lattice is the product of its Sylow lattices).  All arithmetic
+is exact (ints and ``Fraction``).  Every table is checked as it is built:
+each Hall number must be a positive integer, and for each lambda and nu the
+Hall numbers over mu must add up to Birkhoff's count of subgroups of type
+nu, an independent closed form.  The subgroup-lattice route in ``lattice``
+is the differential oracle for all of this.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+
+from .grouptype import TRIVIAL_GROUP, GroupType, _partitions, primary, product
+
+__all__ = ["hall_table", "subgroup_count_of_type", "type_pairs"]
+
+Partition = tuple[int, ...]
+# lambda -> {(nu, mu): g^lambda_{mu nu}}: nu the subgroup's, mu the quotient's
+HallTable = dict[Partition, dict[tuple[Partition, Partition], int]]
+
+
+def _conjugate(lam: Partition) -> Partition:
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
+def _n(lam: Partition) -> int:
+    """n(lambda) = sum of (i - 1) lambda_i."""
+    return sum(i * part for i, part in enumerate(lam))
+
+
+def _gauss(p: int, a: int, b: int) -> int:
+    """Gaussian binomial [a choose b]_p; 0 unless 0 <= b <= a."""
+    if b < 0 or b > a:
+        return 0
+    num = den = 1
+    for i in range(b):
+        num *= p ** (a - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def subgroup_count_of_type(p: int, lam: Partition, nu: Partition) -> int:
+    """Subgroups of type nu in the p-group of type lam (Birkhoff 1935):
+    the product over i of p^(nu'_{i+1} (lam'_i - nu'_i))
+    [lam'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_p."""
+    if len(nu) > len(lam) or any(a < b for a, b in zip(lam, nu)):
+        return 0
+    lc = _conjugate(lam)
+    nc = _conjugate(nu) + (0,) * (len(lc) + 1)
+    count = 1
+    for i, top in enumerate(lc):
+        count *= p ** (nc[i + 1] * (top - nc[i])) * _gauss(p, top - nc[i + 1], nc[i] - nc[i + 1])
+    return count
+
+
+def _vertical_strips(mu: Partition, m: int):
+    """Every lambda with |lambda| = |mu| + m and lambda_i - mu_i in {0, 1}.
+    Within a block of equal rows of mu only the top rows may grow."""
+    blocks = [(v, len(list(rows))) for v, rows in itertools.groupby(mu)] + [(0, m)]
+    for grow in itertools.product(*(range(min(size, m) + 1) for _, size in blocks)):
+        if sum(grow) == m:
+            lam = []
+            for (v, size), k in zip(blocks, grow):
+                lam += [v + 1] * k + [v] * (size - k)
+            yield tuple(part for part in lam if part)
+
+
+def _pieri(p: int, mu: Partition, m: int) -> dict[Partition, int]:
+    """u_mu u_(1^m) by Macdonald II (4.6): the coefficient of u_lambda is
+    p^(n(lambda) - n(mu) - n(1^m)) times the product over i of
+    [lambda'_i - lambda'_{i+1} choose lambda'_i - mu'_i]_(1/p), and each
+    [a choose b]_(1/p) is p^(-b(a-b)) [a choose b]_p."""
+    mc = _conjugate(mu)
+    out = {}
+    for lam in _vertical_strips(mu, m):
+        lc = _conjugate(lam) + (0,)
+        exponent = _n(lam) - _n(mu) - m * (m - 1) // 2
+        coefficient = 1
+        for i in range(len(lc) - 1):
+            a, b = lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0)
+            exponent -= b * (a - b)
+            coefficient *= _gauss(p, a, b)
+        if exponent < 0:
+            raise AssertionError(f"Pieri coefficient of {lam} over {mu} at p={p} is not integral")
+        out[lam] = coefficient * p**exponent
+    return out
+
+
+@lru_cache(maxsize=None)
+def hall_table(p: int, n: int) -> HallTable:
+    """``{lambda: {(nu, mu): g^lambda_{mu nu}(p)}}`` for every lambda of n."""
+    pieri: dict[tuple[Partition, int], dict[Partition, int]] = {}
+    chains: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+
+    def chain(mu: Partition, columns: Partition) -> dict[Partition, int]:
+        """u_mu u_(1^c_1) ... u_(1^c_r) in the u basis."""
+        key = (mu, columns)
+        if key not in chains:
+            if not columns:
+                chains[key] = {mu: 1}
+            else:
+                out: Counter = Counter()
+                for lam, c in chain(mu, columns[:-1]).items():
+                    step = (lam, columns[-1])
+                    if step not in pieri:
+                        pieri[step] = _pieri(p, *step)
+                    for top, d in pieri[step].items():
+                        out[top] += c * d
+                chains[key] = out
+        return chains[key]
+
+    # u_nu = sum over rho of basis[nu][rho] E(rho); lex order refines dominance
+    basis: dict[Partition, dict[Partition, Fraction]] = {}
+    for k in range(n + 1):
+        for nu in sorted(_partitions(k)):
+            word = chain((), _conjugate(nu))
+            row: Counter = Counter({nu: Fraction(1)})
+            for lam, c in word.items():
+                if lam != nu:
+                    if lam not in basis:
+                        raise AssertionError(f"E({nu}) meets {lam}, which is not below it")
+                    for rho, a in basis[lam].items():
+                        row[rho] -= c * a
+            basis[nu] = {rho: a / word[nu] for rho, a in row.items() if a}
+
+    table: HallTable = {lam: {} for lam in _partitions(n)}
+    for k in range(n + 1):
+        for nu in _partitions(k):
+            for mu in _partitions(n - k):
+                products: Counter = Counter()
+                for rho, a in basis[nu].items():
+                    for lam, c in chain(mu, _conjugate(rho)).items():
+                        products[lam] += a * c
+                for lam, g in products.items():
+                    if g:
+                        if g < 0 or g.denominator != 1:
+                            raise AssertionError(f"Hall number g^{lam}_{mu},{nu}({p}) = {g}")
+                        table[lam][(nu, mu)] = int(g)
+    for lam, pairs in table.items():
+        per_type = Counter()
+        for (nu, _), g in pairs.items():
+            per_type[nu] += g
+        for nu in itertools.chain.from_iterable(map(_partitions, range(n + 1))):
+            if per_type[nu] != subgroup_count_of_type(p, lam, nu):
+                raise AssertionError(
+                    f"Hall numbers count {per_type[nu]} subgroups of type {nu} in {lam} "
+                    f"at p={p}; Birkhoff's formula gives {subgroup_count_of_type(p, lam, nu)}"
+                )
+    return table
+
+
+def _p_type(p: int, lam: Partition) -> GroupType:
+    return GroupType(tuple(p**e for e in reversed(lam)))
+
+
+def type_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], int]:
+    """Multiset of (subgroup type, quotient type) over all subgroups of T:
+    the Hall numbers of each p-part, combined over primes."""
+    parts = [
+        {
+            (_p_type(p, nu), _p_type(p, mu)): g
+            for (nu, mu), g in hall_table(p, sum(lam))[lam].items()
+        }
+        for p, lam in primary(T).components
+    ]
+    pairs = parts[0] if parts else {(TRIVIAL_GROUP, TRIVIAL_GROUP): 1}
+    for local in parts[1:]:
+        pairs = {
+            (product(ht, h), product(qt, q)): mult * g
+            for (ht, qt), mult in pairs.items()
+            for (h, q), g in local.items()
+        }
+    return pairs

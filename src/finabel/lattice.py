@@ -9,6 +9,13 @@ by element set.  Internally subgroups are bitmasks over the element list.
 Two independent routes compute the abstract type of a subgroup: greedy
 reconstruction from the element-order profile, and a Smith-normal-form
 computation on generator matrices; tests cross-check them.
+
+The (subgroup type, quotient type) multiset behind the convolution algebra
+does not come from these lattices: :func:`subgroup_quotient_pairs` reads it
+from Hall numbers per prime (:mod:`finabel.hall`).  Enumerating the lattice
+and taking one Smith form per subgroup (``_lattice_pairs``) is kept as the
+differential oracle for that route, so lattices serve the concrete API
+(``all_subgroups``, ``symgen``) and the oracles.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from .errors import BoundExceededError
 from .grouptype import GroupType, TRIVIAL_GROUP, canonicalize, factorize
+from .hall import type_pairs
 
 __all__ = [
     "ConcreteGroup",
@@ -618,7 +626,8 @@ def subgroup_type_via_snf(H: Subgroup) -> GroupType:
          for i in range(k)]
     diag, C = _snf(T, track_cols=True)
     rank = sum(1 for d in diag if d)
-    assert C is not None
+    if C is None:
+        raise AssertionError("Smith reduction lost its column operations (bug)")
     kernel_cols = [[C[i][j] for i in range(r)] for j in range(rank, r + k)]
     if not kernel_cols:
         raise AssertionError("generator map has no kernel: subgroup not finite?")
@@ -627,13 +636,22 @@ def subgroup_type_via_snf(H: Subgroup) -> GroupType:
 
 
 # ---------------------------------------------------------------------------
-# Cached (subgroup type, quotient type) multiset per canonical group type
+# (subgroup type, quotient type) multiset per canonical group type
 
 
 @lru_cache(maxsize=None)
 def _pairs_for_moduli(
     moduli: tuple[int, ...]
 ) -> tuple[tuple[tuple[GroupType, GroupType], int], ...]:
+    """The multiset of the type with these invariant factors, from Hall
+    numbers per prime (see :mod:`finabel.hall`); cached per type."""
+    return tuple(type_pairs(GroupType(moduli)).items())
+
+
+def _lattice_pairs(moduli: tuple[int, ...]) -> dict[tuple[GroupType, GroupType], int]:
+    """The same multiset by enumerating every subgroup of the concrete model
+    and taking one Smith form per subgroup: the differential oracle of
+    :func:`_pairs_for_moduli`."""
     ar = _arith(moduli)
     orders = ar.orders
     k = len(moduli)
@@ -652,13 +670,14 @@ def _pairs_for_moduli(
             ]
             qt = _cokernel_type(M, expected_order=ar.n // len(idxs))
         counts[(ht, qt)] += 1
-    return tuple(counts.items())
+    return dict(counts)
 
 
 def subgroup_quotient_pairs(
     T: GroupType, max_order: int | None = None
 ) -> dict[tuple[GroupType, GroupType], int]:
-    """Multiset of (subgroup type, quotient type) over all subgroups of a
-    concrete model of ``T``; the workhorse behind convolution sums."""
+    """Multiset of (subgroup type, quotient type) over all subgroups of
+    ``T``, computed at the type level from Hall numbers; the workhorse
+    behind convolution sums.  Refuses types above the lattice bound."""
     _check_lattice_bound(T.order, max_order)
     return dict(_pairs_for_moduli(T.invariant_factors))

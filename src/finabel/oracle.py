@@ -226,7 +226,8 @@ def enumerate_homs(A: ConcreteGroup, B: ConcreteGroup) -> tuple[int, int, int]:
             mono += 1
         if len(set(values)) == order_b:
             epi += 1
-    assert hom == total
+    if hom != total:
+        raise AssertionError(f"enumerated {hom} maps, expected {total} (bug)")
     return hom, mono, epi
 
 

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from finabel.cli import main
+from finabel.counting import gaussian_subspace_count
 from finabel.lattice import DEFAULT_MAX_LATTICE_ORDER, set_max_lattice_order
 
 
@@ -141,6 +143,38 @@ def test_verify_command(capsys):
     assert main(["verify", "isometries", "5"]) == 0
     assert main(["verify", "mu", "20"]) == 0
     capsys.readouterr()
+
+
+def test_verify_pairs_compares_the_two_routes(capsys, monkeypatch):
+    from finabel import cli
+
+    assert main(["verify", "pairs", "32"]) == 0
+    assert capsys.readouterr().out == "pairs: 55 checks, OK\n"
+    real = cli._lattice_pairs
+    monkeypatch.setattr(
+        cli, "_lattice_pairs", lambda m: {} if m == (2, 4) else real(m)
+    )
+    assert main(["verify", "pairs", "8"]) == 4
+    captured = capsys.readouterr()
+    assert "pairs(2,4): Hall route" in captured.err
+    assert captured.out == "pairs: 11 checks, 1 MISMATCHES\n"
+
+
+def test_order_512_elementary_group(capsys):
+    # admitted by the lattice bound; its 8,283,458 subgroups are counted
+    # from Hall numbers, not enumerated
+    G = ",".join(["2"] * 9)
+    gauss = [gaussian_subspace_count(2, 9, d) for d in range(10)]
+    assert main(["eval", "nsub", G]) == 0
+    assert capsys.readouterr().out == f"{G}  nsub  {sum(gauss)}\n"
+    assert main(["aut", G]) == 0
+    assert capsys.readouterr().out == f"{prod(2**9 - 2**i for i in range(9))}\n"
+    assert main(["subcount", "2,2", G]) == 0
+    assert capsys.readouterr().out == f"{gauss[2]}\n"
+    assert main(["profile", G, "--kind", "subgroups"]) == 0
+    assert capsys.readouterr().out == (
+        "subgroup-orders " + " ".join(f"{2**d}:{c}" for d, c in enumerate(gauss)) + "\n"
+    )
 
 
 def test_verify_reports_mismatches(capsys, monkeypatch):
