@@ -6,7 +6,8 @@ transpositions as ">"-separated element pairs joined by ";" ("0,0>1,0;0,0>0,1").
 
 Exit codes: 0 success, 2 usage error (bad arguments, unknown function,
 unparseable group), 3 resource bound or domain error from the library,
-4 verification mismatch.
+4 verification mismatch, 5 failed internal check (an ``AssertionError``
+raised by the library's own consistency checks: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import csv
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
@@ -125,20 +125,10 @@ def _cmd_table(args) -> int:
     if args.max_order < 1:
         raise _UsageError("max order must be >= 1")
     fmt = args.table_format or args.format
-    types = list(types_up_to(args.max_order))
-
-    def values_for(T: GroupType) -> list[str]:
-        return [str(f(T)) for f in functions]
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(values_for, types))
-    else:
-        rows = [values_for(T) for T in types]
     records = [
-        (str(T), f.name, value)
-        for T, values in zip(types, rows)
-        for f, value in zip(functions, values)
+        (str(T), f.name, str(f(T)))
+        for T in types_up_to(args.max_order)
+        for f in functions
     ]
     _emit(records, fmt, sys.stdout)
     return 0
@@ -355,12 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="aligned",
         help="output format for eval/table (default aligned)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads for table generation (output order is unchanged)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a function on one group")
@@ -441,6 +425,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # domain errors from library operations
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

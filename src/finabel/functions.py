@@ -37,7 +37,6 @@ from .grouptype import (
     GroupType,
     TRIVIAL_GROUP,
     cyclic,
-    is_elementary,
     primary,
     primary_parts,
     product,
@@ -193,10 +192,10 @@ def mu_closed(G: GroupType) -> int:
     """Closed form of the Moebius function of the algebra: zero unless every
     p-part is elementary, else the product over primes of
     (-1)^dim * p^(dim*(dim-1)/2)."""
-    if not is_elementary(G):
-        return 0
     value = 1
     for p, exps in primary(G).components:
+        if exps[0] > 1:
+            return 0
         dim = len(exps)
         value *= (-1) ** dim * p ** (dim * (dim - 1) // 2)
     return value

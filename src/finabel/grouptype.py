@@ -5,6 +5,14 @@ d_1 | d_2 | ... | d_n with every d_i >= 2.  The empty chain is the trivial
 group.  ``GroupType`` values are immutable and hashable, which makes them
 usable as memoization keys throughout the library.
 
+Equally, a type is named by one exponent partition per prime.  Every type
+the library assembles goes through one function, ``_join``, which turns
+such partitions into invariant factors (d_n is the product of the largest
+parts, d_(n-1) of the second largest, and so on) and hands them to the
+validating ``GroupType`` constructor.  Integers are factorized only where
+they come in raw: user moduli in :func:`canonicalize`, invariant factors in
+:func:`primary`, and orders.
+
 >>> canonicalize([6, 4])
 GroupType(invariant_factors=(2, 12))
 >>> canonicalize([1, 1]).is_trivial
@@ -17,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "GroupType",
@@ -125,6 +133,21 @@ class GroupType:
 TRIVIAL_GROUP = GroupType(())
 
 
+def _join(components: Iterable[tuple[int, Sequence[int]]]) -> GroupType:
+    """The type whose p-part has exponent partition ``exps`` for each
+    ``(p, exps)``.  Primes must be distinct and parts positive; a partition
+    that is not descending fails ``GroupType`` validation."""
+    factors: list[int] = []
+    for p, exps in components:
+        for i, e in enumerate(exps):
+            if i < len(factors):
+                factors[i] *= p**e
+            else:
+                factors.append(p**e)
+    factors.reverse()
+    return GroupType(tuple(factors))
+
+
 def canonicalize(moduli: Iterable[int]) -> GroupType:
     """Invariant-factor form of ``Z_m1 x ... x Z_mk``.
 
@@ -141,15 +164,7 @@ def canonicalize(moduli: Iterable[int]) -> GroupType:
             raise ValueError(f"modulus {m!r} is not an integer >= 1")
         for p, e in factorize(m).items():
             exps.setdefault(p, []).append(e)
-    for parts in exps.values():
-        parts.sort(reverse=True)
-    depth = max((len(parts) for parts in exps.values()), default=0)
-    factors = []
-    for i in range(depth):
-        d = prod(p ** parts[i] for p, parts in exps.items() if i < len(parts))
-        factors.append(d)
-    factors.reverse()
-    return GroupType(tuple(factors))
+    return _join((p, sorted(parts, reverse=True)) for p, parts in exps.items())
 
 
 def cyclic(n: int) -> GroupType:
@@ -157,8 +172,12 @@ def cyclic(n: int) -> GroupType:
 
 
 def product(a: GroupType, b: GroupType) -> GroupType:
-    """Canonical type of the direct product ``a x b``."""
-    return canonicalize(a.invariant_factors + b.invariant_factors)
+    """Canonical type of the direct product ``a x b``: the per-prime
+    partitions of a and b, merged."""
+    exps = primary(a).as_dict()
+    for p, parts in primary(b).components:
+        exps[p] = tuple(sorted(exps.get(p, ()) + parts, reverse=True))
+    return _join(exps.items())
 
 
 @dataclass(frozen=True)
@@ -192,25 +211,24 @@ def primary(G: GroupType) -> PrimaryDecomposition:
 
 
 def from_primary(pd: PrimaryDecomposition) -> GroupType:
-    """Inverse of :func:`primary`; round-trips exactly."""
-    moduli = [p**e for p, parts in pd.components for e in parts]
-    return canonicalize(moduli)
+    """Inverse of :func:`primary`; round-trips exactly.  Raises ValueError
+    when the primes are not distinct and ascending or a partition is not
+    descending."""
+    primes = [p for p, _ in pd.components]
+    if not all(map(is_prime, primes)) or any(p >= q for p, q in itertools.pairwise(primes)):
+        raise ValueError(f"{primes} are not distinct primes in ascending order")
+    return _join(pd.components)
 
 
 def primary_parts(G: GroupType) -> tuple[GroupType, ...]:
     """The p-group types whose product is ``G``, one per prime, ascending."""
-    parts = []
-    for p, exps in primary(G).components:
-        parts.append(canonicalize([p**e for e in exps]))
-    return tuple(parts)
+    return tuple(_join([component]) for component in primary(G).components)
 
 
 def is_elementary(G: GroupType) -> bool:
     """True iff every p-part is a vector space over F_p (all exponents 1),
     equivalently iff every invariant factor is squarefree."""
-    return all(
-        all(e == 1 for e in factorize(d).values()) for d in G.invariant_factors
-    )
+    return all(exps[0] == 1 for _, exps in primary(G).components)
 
 
 def dim_p(G: GroupType, p: int) -> int:

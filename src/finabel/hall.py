@@ -15,7 +15,10 @@ Two facts give every Hall number:
   E-words and u_mu u_nu is a sum of Pieri chains.
 
 The multiset of a group is the product of the multisets of its p-parts
-(its subgroup lattice is the product of its Sylow lattices).  All arithmetic
+(its subgroup lattice is the product of its Sylow lattices).  Primes are
+combined on partitions: each (subgroup, quotient) pair is carried as its
+per-prime partitions, multiplicities multiply, and each pair becomes a
+``GroupType`` once, after the last prime.  All arithmetic
 is exact (ints and ``Fraction``).  Every table is checked as it is built:
 each Hall number must be a positive integer, and for each lambda and nu the
 Hall numbers over mu must add up to Birkhoff's count of subgroups of type
@@ -30,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .grouptype import TRIVIAL_GROUP, GroupType, _partitions, primary, product
+from .grouptype import GroupType, _join, _partitions, primary
 
 __all__ = ["hall_table", "subgroup_count_of_type", "type_pairs"]
 
@@ -169,25 +172,15 @@ def hall_table(p: int, n: int) -> HallTable:
     return table
 
 
-def _p_type(p: int, lam: Partition) -> GroupType:
-    return GroupType(tuple(p**e for e in reversed(lam)))
-
-
 def type_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], int]:
     """Multiset of (subgroup type, quotient type) over all subgroups of T:
     the Hall numbers of each p-part, combined over primes."""
-    parts = [
-        {
-            (_p_type(p, nu), _p_type(p, mu)): g
-            for (nu, mu), g in hall_table(p, sum(lam))[lam].items()
-        }
-        for p, lam in primary(T).components
-    ]
-    pairs = parts[0] if parts else {(TRIVIAL_GROUP, TRIVIAL_GROUP): 1}
-    for local in parts[1:]:
+    pairs: dict[tuple[tuple, tuple], int] = {((), ()): 1}
+    for p, lam in primary(T).components:
+        local = hall_table(p, sum(lam))[lam]
         pairs = {
-            (product(ht, h), product(qt, q)): mult * g
-            for (ht, qt), mult in pairs.items()
-            for (h, q), g in local.items()
+            (hs + ((p, nu),), qs + ((p, mu),)): mult * g
+            for (hs, qs), mult in pairs.items()
+            for (nu, mu), g in local.items()
         }
-    return pairs
+    return {(_join(hs), _join(qs)): mult for (hs, qs), mult in pairs.items()}

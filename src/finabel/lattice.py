@@ -29,7 +29,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import BoundExceededError
-from .grouptype import GroupType, TRIVIAL_GROUP, canonicalize, factorize
+from .grouptype import (
+    GroupType,
+    TRIVIAL_GROUP,
+    PrimaryDecomposition,
+    factorize,
+    from_primary,
+)
 from .hall import type_pairs
 
 __all__ = [
@@ -517,19 +523,22 @@ def _cokernel_type(M: list[list[int]], expected_order: int | None = None) -> Gro
     return result
 
 
+def _relations(moduli: Sequence[int], gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """``[diag(m_1..m_k) | generator columns]``: its cokernel is the quotient
+    of ``Z_m1 x ... x Z_mk`` by the subgroup the generators span."""
+    k = len(moduli)
+    return [
+        [moduli[i] if j == i else 0 for j in range(k)] + [g[i] for g in gens]
+        for i in range(k)
+    ]
+
+
 def quotient_type(G: ConcreteGroup, H: Subgroup) -> GroupType:
     """Invariant factors of ``G/H`` via the Smith form of
     ``[diag(m_1..m_k) | generator columns]``."""
     if H.parent != G:
         raise ValueError("subgroup does not belong to the given group")
-    k = len(G.moduli)
-    if k == 0:
-        return TRIVIAL_GROUP
-    gens = H.generators or H.elements
-    M = [
-        [G.moduli[i] if j == i else 0 for j in range(k)] + [g[i] for g in gens]
-        for i in range(k)
-    ]
+    M = _relations(G.moduli, H.generators or H.elements)
     return _cokernel_type(M, expected_order=G.order // H.order)
 
 
@@ -547,7 +556,7 @@ def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
     total = sum(clean.values())
     if total < 1 or clean.get(1) != 1:
         raise bad
-    moduli: list[int] = []
+    components = []
     for p in factorize(total):
         # counts of elements whose order is a pure power of p rebuild the
         # p-part: #{order | p^k} must be p^(sum of min(k, lambda_i))
@@ -578,10 +587,9 @@ def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
             parts_ge[j] > parts_ge[j - 1] for j in range(1, top)
         ):
             raise bad
-        for i in range(parts_ge[0]):
-            lam = sum(1 for a in parts_ge if a > i)
-            moduli.append(p**lam)
-    candidate = canonicalize(moduli)
+        lam = tuple(sum(1 for a in parts_ge if a > i) for i in range(parts_ge[0]))
+        components.append((p, lam))
+    candidate = from_primary(PrimaryDecomposition(tuple(components)))
     if _type_profile(candidate) != tuple(sorted(clean.items())):
         raise bad
     return candidate
@@ -598,17 +606,20 @@ def _type_from_profile_key(key: tuple[tuple[int, int], ...]) -> GroupType:
     return type_from_order_statistics(dict(key))
 
 
-def subgroup_type(H: Subgroup) -> GroupType:
-    """Abstract type of ``H``, reconstructed from its element-order profile."""
-    ar = H.parent._arith
-    orders = ar.orders
-    index = ar.index
-    profile = Counter(orders[index[g]] for g in H.elements)
-    key = tuple(sorted(profile.items()))
+def _indices_type(ar: _Arith, idxs: Iterable[int]) -> GroupType:
+    """Abstract type of the subgroup on these element indices, from its
+    element-order profile."""
+    key = tuple(sorted(Counter(ar.orders[i] for i in idxs).items()))
     try:
         return _type_from_profile_key(key)
     except ValueError as exc:  # a closed subgroup always has a valid profile
         raise AssertionError(f"internal error: {exc}") from exc
+
+
+def subgroup_type(H: Subgroup) -> GroupType:
+    """Abstract type of ``H``, reconstructed from its element-order profile."""
+    ar = H.parent._arith
+    return _indices_type(ar, (ar.index[g] for g in H.elements))
 
 
 def subgroup_type_via_snf(H: Subgroup) -> GroupType:
@@ -653,23 +664,11 @@ def _lattice_pairs(moduli: tuple[int, ...]) -> dict[tuple[GroupType, GroupType],
     and taking one Smith form per subgroup: the differential oracle of
     :func:`_pairs_for_moduli`."""
     ar = _arith(moduli)
-    orders = ar.orders
-    k = len(moduli)
     counts: Counter = Counter()
     for idxs, gen_idxs in _lattice(moduli):
-        profile_key = tuple(sorted(Counter(orders[i] for i in idxs).items()))
-        ht = _type_from_profile_key(profile_key)
-        if k == 0:
-            qt = TRIVIAL_GROUP
-        else:
-            gens = [ar.elements[i] for i in gen_idxs]
-            M = [
-                [moduli[i] if j == i else 0 for j in range(k)]
-                + [g[i] for g in gens]
-                for i in range(k)
-            ]
-            qt = _cokernel_type(M, expected_order=ar.n // len(idxs))
-        counts[(ht, qt)] += 1
+        ht = _indices_type(ar, idxs)
+        M = _relations(moduli, [ar.elements[i] for i in gen_idxs])
+        counts[(ht, _cokernel_type(M, expected_order=ar.n // len(idxs)))] += 1
     return dict(counts)
 
 

@@ -79,15 +79,27 @@ def test_table_divisibility(capsys):
 
 
 def test_table_jobs_and_json(capsys):
-    assert main(["--jobs", "3", "table", "mu,nsub", "10", "json-lines"]) == 0
-    out_parallel = capsys.readouterr().out
+    # table runs serially: a thread pool gains nothing under the GIL
+    assert run_cli("--jobs", "3", "table", "mu", "4").returncode == 2
     assert main(["table", "mu,nsub", "10", "json-lines"]) == 0
-    assert capsys.readouterr().out == out_parallel
-    records = [json.loads(line) for line in out_parallel.splitlines()]
+    out = capsys.readouterr().out
+    records = [json.loads(line) for line in out.splitlines()]
     assert all(set(r) == {"group", "function", "value"} for r in records)
     # value strings round-trip to exact rationals
     for r in records:
         Fraction(r["value"])
+
+
+def test_internal_check_failure_exit_code(capsys, monkeypatch):
+    from finabel import counting
+
+    def broken(B):
+        raise AssertionError("count is not an integer")
+
+    monkeypatch.setattr(counting, "aut_count", broken)
+    assert main(["aut", "2"]) == 5
+    err = capsys.readouterr().err
+    assert err == "error: internal check failed: count is not an integer\n"
 
 
 def test_counting_commands(capsys):

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from finabel.grouptype import (
     GroupType,
+    PrimaryDecomposition,
     TRIVIAL_GROUP,
     canonicalize,
     cyclic,
@@ -99,6 +101,24 @@ def test_product():
 def test_product_order_multiplicative(ms, ns):
     A, B = canonicalize(ms), canonicalize(ns)
     assert product(A, B).order == A.order * B.order
+
+
+@given(moduli_lists, moduli_lists)
+@settings(max_examples=60)
+def test_product_and_primary_round_trips(ms, ns):
+    T = canonicalize(ms + ns)
+    assert product(canonicalize(ms), canonicalize(ns)) == T
+    assert reduce(product, primary_parts(T), TRIVIAL_GROUP) == T
+    assert from_primary(primary(T)) == T
+
+
+def test_from_primary_rejects_malformed_decompositions():
+    # the builder relies on GroupType validation, which raises under -O too
+    with pytest.raises(ValueError):
+        from_primary(PrimaryDecomposition(((2, (1, 2)),)))
+    for primes in ((2, 2), (3, 2), (2, 6)):
+        with pytest.raises(ValueError):
+            from_primary(PrimaryDecomposition(tuple((p, (1,)) for p in primes)))
 
 
 def test_primary_examples():
