@@ -10,7 +10,9 @@ The library provides:
   through (subgroup type, quotient type) multisets computed from Hall
   numbers per prime;
 * counting formulas for Hom/Mono/Epi/Aut, subgroup counts by type,
-  Gaussian binomials, and order-profile classification;
+  Gaussian binomials, and order-profile classification, as closed forms
+  per prime (Birkhoff's subgroup count and Macdonald's |Aut|) that
+  enumerate nothing and take no lattice bound;
 * the interstice/isometry machinery deciding when translations plus
   transpositions generate the full symmetric group;
 * deliberately naive brute-force oracles for cross-validation.

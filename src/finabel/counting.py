@@ -1,13 +1,18 @@
 """Morphism and subgroup counting between finite abelian group types.
 
-Hom cardinalities come from the bilinear gcd product over invariant factors;
-Mono/Epi/Aut are obtained by Moebius inversion over subgroups, summed
-through the type-level (subgroup type, quotient type) multiset, and the
-number of subgroups of a fixed type is Mono/Aut (an exact division; a
-remainder indicates a bug).  Order profiles implement the classification
-theorems as decision procedures, and ``conjecture_search`` scans for
-equal-order types with identical subgroup-order profiles (it reports,
-never asserts).
+Hom cardinalities come from the bilinear gcd product over invariant factors.
+Everything else is a closed form per prime, multiplied over the p-parts
+(one partition lambda per prime, see :mod:`finabel.hall`): the number of
+subgroups of type nu is Birkhoff's count, |Aut| is
+p^(|lambda| + 2 n(lambda)) prod_i phi_(m_i)(1/p), |Mono(A, B)| is the
+number of subgroups of B of type A times |Aut(A)|, and Epi(A, B) is
+Mono(B, A).  The subgroup-order profile
+sums Birkhoff's count over the sub-partitions nu of lambda, and the
+element-order profile counts p^(sum_i min(k, lambda_i)) elements of order
+dividing p^k.  None of this enumerates subgroups or elements, so no lattice
+bound applies.  Order profiles implement the classification theorems as
+decision procedures, and ``conjecture_search`` scans for equal-order types
+with identical subgroup-order profiles (it reports, never asserts).
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ import itertools
 from collections import Counter
 from math import gcd
 
-from .functions import mu_closed
-from .grouptype import GroupType, cyclic, is_prime, types_of_order
-from .lattice import _type_profile, subgroup_quotient_pairs
+from .grouptype import GroupType, cyclic, is_prime, primary, types_of_order
+from .hall import Partition, _gauss, aut_count_of_type, subgroup_count_of_type
 
 __all__ = [
     "OrderProfile",
@@ -57,18 +61,11 @@ _mono_memo: dict[tuple[GroupType, GroupType], int] = {}
 
 
 def mono_count(A: GroupType, B: GroupType) -> int:
-    """|Mono(A, B)| = sum over subgroups H of A of mu(A/H) |Hom(H, B)|."""
+    """|Mono(A, B)| = (subgroups of B isomorphic to A) * |Aut(A)|."""
     key = (A, B)
     cached = _mono_memo.get(key)
     if cached is None:
-        total = 0
-        for (ht, qt), mult in subgroup_quotient_pairs(A).items():
-            m = mu_closed(qt)
-            if m:
-                total += mult * m * hom_count(ht, B)
-        if total < 0:
-            raise AssertionError(f"negative monomorphism count for {A}, {B} (bug)")
-        cached = _mono_memo.setdefault(key, total)
+        cached = _mono_memo.setdefault(key, sub_count(A, B) * aut_count(A))
     return cached
 
 
@@ -78,26 +75,21 @@ def epi_count(A: GroupType, B: GroupType) -> int:
 
 
 def aut_count(B: GroupType) -> int:
-    """|Aut(B)| = |Mono(B, B)|; at least 1."""
-    n = mono_count(B, B)
-    if n < 1:
-        raise AssertionError(f"automorphism count of {B} must be positive (bug)")
-    return n
+    """|Aut(B)|: the product over primes of the |Aut| of each p-part."""
+    count = 1
+    for p, lam in primary(B).components:
+        count *= aut_count_of_type(p, lam)
+    return count
 
 
 def sub_count(B: GroupType, A: GroupType) -> int:
-    """Number of subgroups of A isomorphic to B: |Mono(B, A)| / |Aut(B)|.
-
-    The division is exact; a remainder would signal a bug and raises.
-    """
-    m = mono_count(B, A)
-    a = aut_count(B)
-    q, r = divmod(m, a)
-    if r:
-        raise AssertionError(
-            f"sub_count({B}, {A}): {m} not divisible by |Aut| = {a} (bug)"
-        )
-    return q
+    """Number of subgroups of A isomorphic to B: the product over primes of
+    Birkhoff's count; 0 when B has a prime that A lacks."""
+    nus = primary(B).as_dict()
+    count = 1
+    for p, lam in primary(A).components:
+        count *= subgroup_count_of_type(p, lam, nus.pop(p, ()))
+    return 0 if nus else count
 
 
 def gaussian_subspace_count(p: int, n: int, d: int) -> int:
@@ -106,49 +98,65 @@ def gaussian_subspace_count(p: int, n: int, d: int) -> int:
         raise ValueError(f"{p} is not prime")
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
-    if d > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(d):
-        num *= p**n - p**i
-        den *= p**d - p**i
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError("Gaussian binomial is not integral (bug)")
-    return q
+    return _gauss(p, n, d)
+
+
+def _sub_partitions(lam: Partition, cap: int):
+    """Every partition nu with nu_1 <= cap and nu_i <= lam_i for all i."""
+    yield ()
+    if lam:
+        for first in range(1, min(lam[0], cap) + 1):
+            for rest in _sub_partitions(lam[1:], first):
+                yield (first,) + rest
+
+
+def _combine(A: GroupType, local) -> OrderProfile:
+    """Profile of A from the per-prime profiles ``local(p, lam)`` (as
+    {exponent k: count of order p^k}): orders multiply across primes."""
+    counts: dict[int, int] = {1: 1}
+    for p, lam in primary(A).components:
+        here = local(p, lam)
+        counts = {d * p**k: c * n for d, c in counts.items() for k, n in here.items()}
+    return dict(sorted(counts.items()))
+
+
+def _element_orders(p: int, lam: Partition) -> dict[int, int]:
+    # p^(sum of min(k, lam_i)) elements have order dividing p^k
+    below = [p ** sum(min(k, part) for part in lam) for k in range(lam[0] + 1)]
+    return {0: 1} | {k: below[k] - below[k - 1] for k in range(1, len(below))}
+
+
+def _subgroup_orders(p: int, lam: Partition) -> dict[int, int]:
+    counts: Counter = Counter()
+    for nu in _sub_partitions(lam, lam[0]):
+        counts[sum(nu)] += subgroup_count_of_type(p, lam, nu)
+    return counts
 
 
 def element_order_profile(A: GroupType) -> OrderProfile:
     """Counts of elements by order; {1: 1} for the trivial group."""
-    return dict(_type_profile(A))
+    return _combine(A, _element_orders)
 
 
-def subgroup_order_profile(A: GroupType, max_order: int | None = None) -> OrderProfile:
-    """Counts of subgroups by order, summed from the (subgroup type,
-    quotient type) multiset; refuses types above the lattice bound."""
-    counts: Counter = Counter()
-    for (ht, _), mult in subgroup_quotient_pairs(A, max_order).items():
-        counts[ht.order] += mult
-    return dict(sorted(counts.items()))
+def subgroup_order_profile(A: GroupType) -> OrderProfile:
+    """Counts of subgroups by order."""
+    return _combine(A, _subgroup_orders)
 
 
 def isomorphic_by_element_orders(A: GroupType, B: GroupType) -> bool:
     """Equal element-order profiles; by the classification theorem this is
     equivalent to A = B as canonical types (tested as such)."""
-    return _type_profile(A) == _type_profile(B)
+    return element_order_profile(A) == element_order_profile(B)
 
 
-def conjecture_search(
-    max_order: int, lattice_bound: int | None = None
-) -> list[tuple[GroupType, GroupType]]:
+def conjecture_search(max_order: int) -> list[tuple[GroupType, GroupType]]:
     """All pairs of distinct equal-order types (order <= max_order) whose
     subgroup-order profiles coincide.  Reports findings; expected empty."""
     findings: list[tuple[GroupType, GroupType]] = []
     for n in range(1, max_order + 1):
         by_profile: dict[tuple, list[GroupType]] = {}
         for T in types_of_order(n):
-            key = tuple(sorted(subgroup_order_profile(T, lattice_bound).items()))
+            key = tuple(sorted(subgroup_order_profile(T).items()))
             by_profile.setdefault(key, []).append(T)
         for group in by_profile.values():
             for A, B in itertools.combinations(group, 2):

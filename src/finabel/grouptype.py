@@ -200,14 +200,23 @@ def primary(G: GroupType) -> PrimaryDecomposition:
     >>> primary(canonicalize([2, 12])).as_dict()
     {2: (2, 1), 3: (1,)}
     """
-    exps: dict[int, list[int]] = {}
-    for d in G.invariant_factors:
-        for p, e in factorize(d).items():
-            exps.setdefault(p, []).append(e)
-    comps = tuple(
-        (p, tuple(sorted(parts, reverse=True))) for p, parts in sorted(exps.items())
-    )
-    return PrimaryDecomposition(comps)
+    if G.is_trivial:
+        return PrimaryDecomposition(())
+    # every prime divides the largest factor, and its exponents fall down the chain
+    smaller = G.invariant_factors[-2::-1]
+    comps = []
+    for p, top in factorize(G.invariant_factors[-1]).items():
+        parts = [top]
+        for d in smaller:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if not e:
+                break
+            parts.append(e)
+        comps.append((p, tuple(parts)))
+    return PrimaryDecomposition(tuple(comps))
 
 
 def from_primary(pd: PrimaryDecomposition) -> GroupType:

@@ -24,6 +24,9 @@ each Hall number must be a positive integer, and for each lambda and nu the
 Hall numbers over mu must add up to Birkhoff's count of subgroups of type
 nu, an independent closed form.  The subgroup-lattice route in ``lattice``
 is the differential oracle for all of this.
+
+Birkhoff's count and the |Aut| closed form, ``aut_count_of_type``, are
+also what ``counting`` multiplies over primes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache
 
 from .grouptype import GroupType, _join, _partitions, primary
 
-__all__ = ["hall_table", "subgroup_count_of_type", "type_pairs"]
+__all__ = ["aut_count_of_type", "hall_table", "subgroup_count_of_type", "type_pairs"]
 
 Partition = tuple[int, ...]
 # lambda -> {(nu, mu): g^lambda_{mu nu}}: nu the subgroup's, mu the quotient's
@@ -59,7 +62,10 @@ def _gauss(p: int, a: int, b: int) -> int:
     for i in range(b):
         num *= p ** (a - i) - 1
         den *= p ** (i + 1) - 1
-    return num // den
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"Gaussian binomial [{a} choose {b}]_{p} is not integral (bug)")
+    return q
 
 
 def subgroup_count_of_type(p: int, lam: Partition, nu: Partition) -> int:
@@ -74,6 +80,21 @@ def subgroup_count_of_type(p: int, lam: Partition, nu: Partition) -> int:
     for i, top in enumerate(lc):
         count *= p ** (nc[i + 1] * (top - nc[i])) * _gauss(p, top - nc[i + 1], nc[i] - nc[i + 1])
     return count
+
+
+def aut_count_of_type(p: int, lam: Partition) -> int:
+    """|Aut| of the p-group of type lam (Macdonald II section 1):
+    p^(|lam| + 2 n(lam)) times the product over part sizes i of
+    phi_(m_i)(1/p), where m_i parts equal i and phi_m(t) = (1-t)...(1-t^m).
+    Each phi_m(1/p) is p^(-m(m+1)/2) (p-1)(p^2-1)...(p^m-1)."""
+    exponent = sum(lam) + 2 * _n(lam)
+    count = 1
+    for _, rows in itertools.groupby(lam):
+        m = len(list(rows))
+        exponent -= m * (m + 1) // 2
+        for j in range(1, m + 1):
+            count *= p**j - 1
+    return count * p**exponent
 
 
 def _vertical_strips(mu: Partition, m: int):

@@ -672,11 +672,9 @@ def _lattice_pairs(moduli: tuple[int, ...]) -> dict[tuple[GroupType, GroupType],
     return dict(counts)
 
 
-def subgroup_quotient_pairs(
-    T: GroupType, max_order: int | None = None
-) -> dict[tuple[GroupType, GroupType], int]:
+def subgroup_quotient_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], int]:
     """Multiset of (subgroup type, quotient type) over all subgroups of
     ``T``, computed at the type level from Hall numbers; the workhorse
     behind convolution sums.  Refuses types above the lattice bound."""
-    _check_lattice_bound(T.order, max_order)
+    _check_lattice_bound(T.order, None)
     return dict(_pairs_for_moduli(T.invariant_factors))

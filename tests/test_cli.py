@@ -189,6 +189,23 @@ def test_order_512_elementary_group(capsys):
     )
 
 
+def test_order_1024_elementary_group(capsys):
+    # counting is closed-form and takes no lattice bound; convolution does
+    G = ",".join(["2"] * 10)
+    gauss = [gaussian_subspace_count(2, 10, d) for d in range(11)]
+    assert main(["aut", G]) == 0
+    assert capsys.readouterr().out == f"{prod(2**10 - 2**i for i in range(10))}\n"
+    assert main(["profile", G]) == 0
+    assert capsys.readouterr().out == (
+        "element-orders 1:1 2:1023\n"
+        "subgroup-orders " + " ".join(f"{2**d}:{c}" for d, c in enumerate(gauss)) + "\n"
+    )
+    assert main(["subcount", "2,2", G]) == 0
+    assert capsys.readouterr().out == "174251\n"
+    assert main(["eval", "nsub", G]) == 3
+    assert "exceeds the subgroup-lattice bound 512" in capsys.readouterr().err
+
+
 def test_verify_reports_mismatches(capsys, monkeypatch):
     from finabel import cli
 

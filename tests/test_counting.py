@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -63,6 +64,20 @@ def test_hom_classified_by_kernel():
             assert total == hom_count(A, B), (A, B)
 
 
+def test_mono_count_matches_moebius_sum():
+    # the route the closed forms replaced: |Mono(A, B)| is the sum over
+    # subgroups H of A of mu(A/H) |Hom(H, B)|
+    from finabel.functions import mu_closed
+    from finabel.lattice import subgroup_quotient_pairs
+
+    types = list(types_up_to(48))
+    for A in types:
+        pairs = subgroup_quotient_pairs(A).items()
+        for B in types:
+            total = sum(mult * mu_closed(qt) * hom_count(ht, B) for (ht, qt), mult in pairs)
+            assert mono_count(A, B) == total, (A, B)
+
+
 def test_sub_count_examples():
     assert sub_count(cyclic(2), T22) == 3
     assert sub_count(T22, T22) == 1
@@ -120,6 +135,32 @@ def test_profiles():
     assert element_order_profile(TRIVIAL_GROUP) == {1: 1}
     assert subgroup_order_profile(T22) == {1: 1, 2: 3, 4: 1}
     assert subgroup_order_profile(cyclic(12)) == {1: 1, 2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+
+
+def test_profiles_match_lattice_and_pairs():
+    from collections import Counter
+
+    from finabel.lattice import _type_profile, subgroup_quotient_pairs
+
+    for T in types_up_to(64):
+        assert element_order_profile(T) == dict(_type_profile(T)), T
+        by_order = Counter()
+        for (ht, _), mult in subgroup_quotient_pairs(T).items():
+            by_order[ht.order] += mult
+        assert subgroup_order_profile(T) == dict(sorted(by_order.items())), T
+
+
+def test_profiles_of_large_p_groups_are_fast():
+    # one sub-partition per subgroup order: 61 Birkhoff counts each
+    start = time.perf_counter()
+    for T in (canonicalize([2] * 60), cyclic(2**60)):
+        subgroups = subgroup_order_profile(T)
+        elements = element_order_profile(T)
+        assert sum(elements.values()) == T.order
+        assert len(subgroups) == 61
+    assert subgroup_order_profile(cyclic(2**60)) == {2**k: 1 for k in range(61)}
+    assert subgroup_order_profile(canonicalize([2] * 60))[2**30] == gaussian_subspace_count(2, 60, 30)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_isomorphic_by_element_orders():
