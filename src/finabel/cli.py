@@ -160,12 +160,14 @@ def _cmd_subcount(args) -> int:
 
 def _cmd_profile(args) -> int:
     G = _parse_group(args.group)
+    # compute both before printing, so a refusal leaves stdout empty
+    lines = []
     if args.kind in ("elements", "both"):
-        prof = counting.element_order_profile(G)
-        print("element-orders " + " ".join(f"{d}:{c}" for d, c in sorted(prof.items())))
+        lines.append(("element-orders", counting.element_order_profile(G)))
     if args.kind in ("subgroups", "both"):
-        prof = counting.subgroup_order_profile(G)
-        print("subgroup-orders " + " ".join(f"{d}:{c}" for d, c in sorted(prof.items())))
+        lines.append(("subgroup-orders", counting.subgroup_order_profile(G)))
+    for label, prof in lines:
+        print(label + " " + " ".join(f"{d}:{c}" for d, c in sorted(prof.items())))
     return 0
 
 

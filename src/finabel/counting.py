@@ -10,9 +10,11 @@ Mono(B, A).  The subgroup-order profile
 sums Birkhoff's count over the sub-partitions nu of lambda, and the
 element-order profile counts p^(sum_i min(k, lambda_i)) elements of order
 dividing p^k.  None of this enumerates subgroups or elements, so no lattice
-bound applies.  Order profiles implement the classification theorems as
-decision procedures, and ``conjecture_search`` scans for equal-order types
-with identical subgroup-order profiles (it reports, never asserts).
+bound applies; the subgroup-order profile is bounded by its own work, the
+number of sub-partitions it visits.  Order profiles implement the
+classification theorems as decision procedures, and ``conjecture_search``
+scans for equal-order types with identical subgroup-order profiles (it
+reports, never asserts).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import itertools
 from collections import Counter
 from math import gcd
 
+from .errors import BoundExceededError
 from .grouptype import GroupType, cyclic, is_prime, primary, types_of_order
 from .hall import Partition, _gauss, aut_count_of_type, subgroup_count_of_type
 
@@ -41,6 +44,10 @@ __all__ = [
 
 # order -> count of elements (or subgroups) of that order
 OrderProfile = dict[int, int]
+
+# subgroup_order_profile refuses types with more sub-partitions than this
+# (about 0.3 s of Birkhoff counts): (7)^7 has 3,432, (8)^8 has 12,870
+MAX_SUB_PARTITIONS = 10_000
 
 
 def hom_count(A: GroupType, B: GroupType) -> int:
@@ -110,6 +117,21 @@ def _sub_partitions(lam: Partition, cap: int):
                 yield (first,) + rest
 
 
+def _sub_partition_count(lam: Partition) -> int:
+    """len(list(_sub_partitions(lam, lam[0]))) without enumerating: below[c]
+    counts the fillings of the rows below the current one with first part
+    <= c, built from the last row up."""
+    if not lam:
+        return 1
+    below = [1] * (lam[0] + 1)
+    for part in reversed(lam):
+        here = [1] * (lam[0] + 1)
+        for c in range(1, lam[0] + 1):
+            here[c] = here[c - 1] + (below[c] if c <= part else 0)
+        below = here
+    return below[-1]
+
+
 def _combine(A: GroupType, local) -> OrderProfile:
     """Profile of A from the per-prime profiles ``local(p, lam)`` (as
     {exponent k: count of order p^k}): orders multiply across primes."""
@@ -139,7 +161,16 @@ def element_order_profile(A: GroupType) -> OrderProfile:
 
 
 def subgroup_order_profile(A: GroupType) -> OrderProfile:
-    """Counts of subgroups by order."""
+    """Counts of subgroups by order.
+
+    Raises :class:`BoundExceededError` when the p-parts have more than
+    ``MAX_SUB_PARTITIONS`` sub-partitions in all."""
+    work = sum(_sub_partition_count(lam) for _, lam in primary(A).components)
+    if work > MAX_SUB_PARTITIONS:
+        raise BoundExceededError(
+            f"subgroup-order profile of {A} visits {work} sub-partitions, "
+            f"above the bound {MAX_SUB_PARTITIONS}"
+        )
     return _combine(A, _subgroup_orders)
 
 

@@ -206,6 +206,17 @@ def test_order_1024_elementary_group(capsys):
     assert "exceeds the subgroup-lattice bound 512" in capsys.readouterr().err
 
 
+def test_profile_refuses_a_square_type(capsys):
+    # (10)^10 at p = 2 has 184,756 sub-partitions; the element orders alone are cheap
+    G = ",".join(["1024"] * 10)
+    assert main(["profile", G]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "184756 sub-partitions, above the bound 10000" in captured.err
+    assert main(["profile", G, "--kind", "elements"]) == 0
+    assert capsys.readouterr().out.startswith("element-orders 1:1 2:1023 4:1047552 ")
+
+
 def test_verify_reports_mismatches(capsys, monkeypatch):
     from finabel import cli
 

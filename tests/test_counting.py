@@ -4,6 +4,9 @@ import time
 import pytest
 
 from finabel.counting import (
+    MAX_SUB_PARTITIONS,
+    _sub_partition_count,
+    _sub_partitions,
     aut_count,
     conjecture_search,
     element_order_profile,
@@ -16,6 +19,7 @@ from finabel.counting import (
     subgroup_order_profile,
     yoneda_numeric_check,
 )
+from finabel.errors import BoundExceededError
 from finabel.grouptype import (
     TRIVIAL_GROUP,
     canonicalize,
@@ -150,10 +154,12 @@ def test_profiles_match_lattice_and_pairs():
         assert subgroup_order_profile(T) == dict(sorted(by_order.items())), T
 
 
-def test_profiles_of_large_p_groups_are_fast():
-    # one sub-partition per subgroup order: 61 Birkhoff counts each
+def test_profiles_of_large_p_groups_visit_one_sub_partition_per_order():
+    # the work count is the property; the 1 s limit (about 0.01 s measured)
+    # only catches a walk over all partitions of k <= 60 (about 5.4 million)
     start = time.perf_counter()
-    for T in (canonicalize([2] * 60), cyclic(2**60)):
+    for T, lam in ((canonicalize([2] * 60), (1,) * 60), (cyclic(2**60), (60,))):
+        assert len(list(_sub_partitions(lam, lam[0]))) == _sub_partition_count(lam) == 61
         subgroups = subgroup_order_profile(T)
         elements = element_order_profile(T)
         assert sum(elements.values()) == T.order
@@ -161,6 +167,27 @@ def test_profiles_of_large_p_groups_are_fast():
     assert subgroup_order_profile(cyclic(2**60)) == {2**k: 1 for k in range(61)}
     assert subgroup_order_profile(canonicalize([2] * 60))[2**30] == gaussian_subspace_count(2, 60, 30)
     assert time.perf_counter() - start < 1.0
+
+
+def test_sub_partition_count_matches_enumeration():
+    from finabel.grouptype import _partitions
+
+    for n in range(9):
+        for lam in _partitions(n):
+            assert _sub_partition_count(lam) == len(list(_sub_partitions(lam, lam[0] if lam else 0)))
+    # lattice paths in a c x r box
+    assert _sub_partition_count((10,) * 10) == 184_756
+
+
+def test_subgroup_order_profile_bounds_its_work():
+    assert _sub_partition_count((7,) * 7) <= MAX_SUB_PARTITIONS < _sub_partition_count((8,) * 8)
+    assert sum(subgroup_order_profile(canonicalize([2**7] * 7)).values()) > 0
+    with pytest.raises(BoundExceededError, match="12870 sub-partitions, above the bound 10000"):
+        subgroup_order_profile(canonicalize([2**8] * 8))
+    # the work of all p-parts counts together
+    with pytest.raises(BoundExceededError):
+        subgroup_order_profile(canonicalize([2**7 * 3**7 * 5**7] * 7))
+    assert element_order_profile(canonicalize([2**8] * 8))[2] == 2**8 - 1
 
 
 def test_isomorphic_by_element_orders():
