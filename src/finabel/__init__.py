@@ -12,13 +12,20 @@ The library provides:
 * counting formulas for Hom/Mono/Epi/Aut, subgroup counts by type,
   Gaussian binomials, and order-profile classification, as closed forms
   per prime (Birkhoff's subgroup count and Macdonald's |Aut|) that
-  enumerate nothing and take no lattice bound;
+  enumerate nothing;
 * the interstice/isometry machinery deciding when translations plus
   transpositions generate the full symmetric group;
 * deliberately naive brute-force oracles for cross-validation.
 
 No floating point is used anywhere in the math core: values are Python
 integers and ``fractions.Fraction``.
+
+Each layer bounds the work it is about to do by a fixed constant and
+refuses more with :class:`BoundExceededError`, naming the bound and the
+predicted work: lattice enumeration (``lattice.MAX_LATTICE_WORK``), Hall
+tables and pair multisets (``hall.MAX_HALL_SIZE``, ``hall.MAX_PAIRS``),
+large values (``functions.MAX_VALUE_BITS``) and the subgroup-order profile
+(``counting.MAX_SUB_PARTITIONS``).  No bound is a process-wide setting.
 """
 
 from .errors import BoundExceededError, NonInvertibleError
@@ -41,15 +48,12 @@ from .grouptype import (
 )
 from .lattice import (
     ConcreteGroup,
-    DEFAULT_MAX_LATTICE_ORDER,
     IntMatrix,
     Subgroup,
     all_subgroups,
     element_order,
     generated_subgroup,
-    get_max_lattice_order,
     quotient_type,
-    set_max_lattice_order,
     smith_normal_form,
     subgroup_quotient_pairs,
     subgroup_type,

@@ -5,9 +5,11 @@ symgen, verify.  Groups are written as comma-separated moduli ("2,2,4");
 transpositions as ">"-separated element pairs joined by ";" ("0,0>1,0;0,0>0,1").
 
 Exit codes: 0 success, 2 usage error (bad arguments, unknown function,
-unparseable group), 3 resource bound or domain error from the library,
-4 verification mismatch, 5 failed internal check (an ``AssertionError``
-raised by the library's own consistency checks: a bug, not bad input).
+unparseable group, an order bound below 1), 3 resource bound or domain
+error from the library, 4 verification mismatch, 5 failed internal check
+(an ``AssertionError`` raised by the library's own consistency checks: a
+bug, not bad input).  Resource bounds are the library's fixed work bounds
+(see the package docstring); no option changes them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .lattice import (
     ConcreteGroup,
     _lattice_pairs,
     all_subgroups,
-    set_max_lattice_order,
     subgroup_quotient_pairs,
 )
 from .symgen import Permutation, Transposition, generates_full_symmetric, isometry_group_order
@@ -172,6 +173,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    if args.max_order < 1:
+        raise _UsageError("max order must be >= 1")
     pairs = counting.conjecture_search(args.max_order)
     if pairs:
         for A, B in pairs:
@@ -320,6 +323,8 @@ _SUITES: dict[str, Callable[[int], tuple[int, list[str]]]] = {
 
 
 def _cmd_verify(args) -> int:
+    if args.bound < 1:
+        raise _UsageError("bound must be >= 1")
     checked, mismatches = _SUITES[args.suite](args.bound)
     if mismatches:
         for line in mismatches:
@@ -334,12 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finabel",
         description="Exact arithmetic on finite abelian groups.",
-    )
-    parser.add_argument(
-        "--max-lattice-order",
-        type=int,
-        default=None,
-        help="override the subgroup-enumeration bound (default 512)",
     )
     parser.add_argument(
         "--format",
@@ -410,12 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.max_lattice_order is not None:
-        try:
-            set_max_lattice_order(args.max_lattice_order)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.handler(args)
     except _UsageError as exc:

@@ -19,10 +19,15 @@ idempotent, so concurrent readers and redundant concurrent writers are safe
 under the GIL (evaluation itself is pure).
 
 Functions flagged ``multiplicative`` may evaluate through their primary
-decomposition, f(G) = product of f over the p-parts of G, which keeps
-large squarefree orders under the lattice bound.  The flag is an assertion
-about the function (tests verify it); evaluation by the defining rule is
-always available through :meth:`AbelianFunction.eval_by_rule`.
+decomposition, f(G) = product of f over the p-parts of G, which needs only
+the pair multisets of the p-parts, so large composite orders stay cheap.
+The flag is an assertion about the function (tests verify it); evaluation
+by the defining rule is always available through
+:meth:`AbelianFunction.eval_by_rule`.
+
+The builtins t^|G|, |G|^t and binomial(|G|, d) refuse a value whose bit
+length, bounded in advance from |G| and the parameter, passes
+``MAX_VALUE_BITS``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .errors import NonInvertibleError
+from .errors import BoundExceededError, NonInvertibleError
 from .grouptype import (
     GroupType,
     TRIVIAL_GROUP,
@@ -45,6 +50,7 @@ from .grouptype import (
 from .lattice import subgroup_quotient_pairs
 
 __all__ = [
+    "MAX_VALUE_BITS",
     "ExactValue",
     "AbelianFunction",
     "ArithmeticFunction",
@@ -74,6 +80,10 @@ __all__ = [
 
 # Values in the algebra: arbitrary-precision rationals.
 ExactValue = Fraction
+
+# tpow, cardpow and binom refuse values that may be longer than this
+# (3^661000, about 2^20 bits, takes 40 ms to compute)
+MAX_VALUE_BITS = 2**20
 
 
 class AbelianFunction:
@@ -209,12 +219,28 @@ phi = convolve(mu, card, name="phi")
 subgroup_count = convolve(one, one, name="nsub")
 
 
+def _check_bits(name: str, G: GroupType, bits: int) -> None:
+    if bits > MAX_VALUE_BITS:
+        raise BoundExceededError(
+            f"{name}({G}) may have {bits} bits, above the bound {MAX_VALUE_BITS}"
+        )
+
+
+def _power(name: str, G: GroupType, base: int, exponent: int) -> int:
+    # base <= 2^b with b = bit length of base - 1
+    _check_bits(name, G, exponent * (base - 1).bit_length() + 1)
+    return base**exponent
+
+
 @lru_cache(maxsize=None)
 def t_pow_card(t: int) -> AbelianFunction:
     """G -> t^|G| (not multiplicative except t = 1)."""
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be an integer >= 1, got {t!r}")
-    return AbelianFunction(f"tpow:{t}", lambda G: t**G.order, multiplicative=(t == 1))
+    name = f"tpow:{t}"
+    return AbelianFunction(
+        name, lambda G: _power(name, G, t, G.order), multiplicative=(t == 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +248,15 @@ def card_pow_t(t: int) -> AbelianFunction:
     """G -> |G|^t (multiplicative)."""
     if not isinstance(t, int) or t < 0:
         raise ValueError(f"t must be an integer >= 0, got {t!r}")
-    return AbelianFunction(f"cardpow:{t}", lambda G: G.order**t, multiplicative=True)
+    name = f"cardpow:{t}"
+    return AbelianFunction(name, lambda G: _power(name, G, G.order, t), multiplicative=True)
+
+
+def _binom(name: str, G: GroupType, d: int) -> int:
+    # binomial(n, d) is below both n^d and 2^n
+    n = G.order
+    _check_bits(name, G, min(d * (n - 1).bit_length(), n) + 1)
+    return math.comb(n, d)
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +264,8 @@ def binom_card(d: int) -> AbelianFunction:
     """G -> binomial(|G|, d)."""
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be an integer >= 0, got {d!r}")
-    return AbelianFunction(f"binom:{d}", lambda G: math.comb(G.order, d))
+    name = f"binom:{d}"
+    return AbelianFunction(name, lambda G: _binom(name, G, d))
 
 
 @lru_cache(maxsize=None)

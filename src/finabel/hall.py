@@ -27,6 +27,11 @@ is the differential oracle for all of this.
 
 Birkhoff's count and the |Aut| closed form, ``aut_count_of_type``, are
 also what ``counting`` multiplies over primes.
+
+Work is bounded by two constants: a Hall table of size n above
+``MAX_HALL_SIZE`` is refused (its cost grows with the number of partitions
+of n, whatever p), and so is a multiset of more than ``MAX_PAIRS`` pairs,
+counted as the product of the per-prime counts before they are combined.
 """
 
 from __future__ import annotations
@@ -35,14 +40,28 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
+from .errors import BoundExceededError
 from .grouptype import GroupType, _join, _partitions, primary
 
-__all__ = ["aut_count_of_type", "hall_table", "subgroup_count_of_type", "type_pairs"]
+__all__ = [
+    "MAX_HALL_SIZE",
+    "MAX_PAIRS",
+    "aut_count_of_type",
+    "hall_table",
+    "subgroup_count_of_type",
+    "type_pairs",
+]
 
 Partition = tuple[int, ...]
 # lambda -> {(nu, mu): g^lambda_{mu nu}}: nu the subgroup's, mu the quotient's
 HallTable = dict[Partition, dict[tuple[Partition, Partition], int]]
+
+# hall_table(p, n) is built in 0.18 s cold for n = 9 and 0.35 s for n = 10
+MAX_HALL_SIZE = 9
+# the largest multiset of a type of order <= 512 has 78 pairs
+MAX_PAIRS = 10_000
 
 
 def _conjugate(lam: Partition) -> Partition:
@@ -132,7 +151,12 @@ def _pieri(p: int, mu: Partition, m: int) -> dict[Partition, int]:
 
 @lru_cache(maxsize=None)
 def hall_table(p: int, n: int) -> HallTable:
-    """``{lambda: {(nu, mu): g^lambda_{mu nu}(p)}}`` for every lambda of n."""
+    """``{lambda: {(nu, mu): g^lambda_{mu nu}(p)}}`` for every lambda of n.
+    Refuses n above ``MAX_HALL_SIZE``."""
+    if n > MAX_HALL_SIZE:
+        raise BoundExceededError(
+            f"Hall table of size {n} at p = {p}, above the bound {MAX_HALL_SIZE}"
+        )
     pieri: dict[tuple[Partition, int], dict[Partition, int]] = {}
     chains: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
 
@@ -195,10 +219,17 @@ def hall_table(p: int, n: int) -> HallTable:
 
 def type_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], int]:
     """Multiset of (subgroup type, quotient type) over all subgroups of T:
-    the Hall numbers of each p-part, combined over primes."""
+    the Hall numbers of each p-part, combined over primes.  Refuses a
+    multiset of more than ``MAX_PAIRS`` pairs."""
+    parts = [(p, hall_table(p, sum(lam))[lam]) for p, lam in primary(T).components]
+    count = prod(len(local) for _, local in parts)
+    if count > MAX_PAIRS:
+        raise BoundExceededError(
+            f"{T} has {count} (subgroup type, quotient type) pairs, "
+            f"above the bound {MAX_PAIRS}"
+        )
     pairs: dict[tuple[tuple, tuple], int] = {((), ()): 1}
-    for p, lam in primary(T).components:
-        local = hall_table(p, sum(lam))[lam]
+    for p, local in parts:
         pairs = {
             (hs + ((p, nu),), qs + ((p, mu),)): mult * g
             for (hs, qs), mult in pairs.items()

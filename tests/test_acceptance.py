@@ -72,18 +72,11 @@ def test_c01_mu_consistency():
 
 
 def test_c02_euler_totient():
-    # phi at Z_n for n <= 1000 visits cyclic p-power lattices up to order
-    # 997, above the default enumeration bound; raise the knob for the sweep
-    from finabel.lattice import DEFAULT_MAX_LATTICE_ORDER, set_max_lattice_order
-
+    # phi at Z_n for n <= 1000 needs Hall tables of size at most 9 (Z_512)
     classical = totient_up_to(1000)
     restricted = restrict_to_cyclic(phi)
-    set_max_lattice_order(1000)
-    try:
-        for n in range(1, 1001):
-            assert restricted(n) == classical[n], n
-    finally:
-        set_max_lattice_order(DEFAULT_MAX_LATTICE_ORDER)
+    for n in range(1, 1001):
+        assert restricted(n) == classical[n], n
 
 
 def test_c03_divisibility():

@@ -8,20 +8,17 @@ import pytest
 
 from finabel.cli import main
 from finabel.counting import gaussian_subspace_count
-from finabel.lattice import DEFAULT_MAX_LATTICE_ORDER, set_max_lattice_order
+
+# the first 14 primes: 2^14 (subgroup type, quotient type) pairs
+PRIMORIAL_14 = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
 
 
-@pytest.fixture(autouse=True)
-def restore_lattice_bound():
-    yield
-    set_max_lattice_order(DEFAULT_MAX_LATTICE_ORDER)
-
-
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "finabel", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -129,6 +126,19 @@ def test_conjecture_command(capsys):
     assert capsys.readouterr().out == "no counterexamples up to order 16\n"
 
 
+def test_bounds_below_one_are_usage_errors(capsys):
+    assert main(["table", "mu", "0"]) == 2
+    assert main(["verify", "mu", "0"]) == 2
+    assert main(["conjecture", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: max order must be >= 1\n"
+        "error: bound must be >= 1\n"
+        "error: max order must be >= 1\n"
+    )
+
+
 def test_symgen_command(capsys):
     assert main(["symgen", "4", "0>2"]) == 0
     assert capsys.readouterr().out == "false\n"
@@ -173,8 +183,8 @@ def test_verify_pairs_compares_the_two_routes(capsys, monkeypatch):
 
 
 def test_order_512_elementary_group(capsys):
-    # admitted by the lattice bound; its 8,283,458 subgroups are counted
-    # from Hall numbers, not enumerated
+    # its 8,283,458 subgroups are counted from the Hall table of size 9,
+    # not enumerated
     G = ",".join(["2"] * 9)
     gauss = [gaussian_subspace_count(2, 9, d) for d in range(10)]
     assert main(["eval", "nsub", G]) == 0
@@ -190,7 +200,7 @@ def test_order_512_elementary_group(capsys):
 
 
 def test_order_1024_elementary_group(capsys):
-    # counting is closed-form and takes no lattice bound; convolution does
+    # counting is closed-form; convolution needs the Hall table of size 10
     G = ",".join(["2"] * 10)
     gauss = [gaussian_subspace_count(2, 10, d) for d in range(11)]
     assert main(["aut", G]) == 0
@@ -203,7 +213,9 @@ def test_order_1024_elementary_group(capsys):
     assert main(["subcount", "2,2", G]) == 0
     assert capsys.readouterr().out == "174251\n"
     assert main(["eval", "nsub", G]) == 3
-    assert "exceeds the subgroup-lattice bound 512" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: Hall table of size 10 at p = 2, above the bound 9\n"
+    )
 
 
 def test_profile_refuses_a_square_type(capsys):
@@ -227,10 +239,39 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     assert "MISMATCH" in captured.out
 
 
-def test_max_lattice_order_flag(capsys):
-    assert main(["eval", "nt:2", "600"]) == 3
-    assert main(["--max-lattice-order", "700", "eval", "nt:2", "600"]) == 0
-    capsys.readouterr()
+def test_work_bounds_replace_the_order_flag(capsys):
+    # the order bound is gone: work bounds are fixed, so the flag is a usage error
+    assert run_cli("--max-lattice-order", "700", "eval", "mu", "2").returncode == 2
+    # cheap work of high order is answered ...
+    mobius = {1: 1, 2: -1, 3: -1, 5: -1, 6: 1, 10: 1, 15: 1, 30: -1}
+    want = sum(m * 2 ** (600 // d) for d, m in mobius.items())
+    assert main(["eval", "nt:2", "600"]) == 0
+    assert capsys.readouterr().out == f"600  nt:2  {want}\n"
+    assert main(["eval", "phi", "997"]) == 0
+    assert capsys.readouterr().out == "997  phi  996\n"
+    gauss = sum(gaussian_subspace_count(3, 6, d) for d in range(7))
+    assert gauss == 56632
+    assert main(["eval", "nsub", "3,3,3,3,3,3"]) == 0
+    assert capsys.readouterr().out == f"3,3,3,3,3,3  nsub  {gauss}\n"
+    # ... and a large pair multiset is refused by its size
+    assert main(["eval", "nt:2", str(PRIMORIAL_14)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {PRIMORIAL_14} has 16384 (subgroup type, quotient type) pairs, "
+        "above the bound 10000\n"
+    )
+
+
+def test_huge_values_are_refused():
+    # 3^(10^9) and 3^(10^8): refused from a bound on their bit length,
+    # before any power is taken
+    for args, err in (
+        (("gentuples:1000000000", "3"), "cardpow:1000000000(3) may have 2000000001 bits"),
+        (("nt:3", "100000000"), "tpow:3(100000000) may have 200000001 bits"),
+    ):
+        proc = run_cli("eval", *args, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {err}, above the bound 1048576\n"
 
 
 def test_table_bytes_deterministic():

@@ -1,3 +1,4 @@
+import math
 import threading
 from fractions import Fraction
 
@@ -216,12 +217,33 @@ def test_builtin_registry():
 
 def test_lattice_bound_propagates():
     with pytest.raises(BoundExceededError):
-        subgroup_count(cyclic(1024))  # a single 2-part above the bound
-    fresh = convolve(mu, t_pow_card(2))  # unmemoized; needs the full lattice
-    with pytest.raises(BoundExceededError):
-        fresh(cyclic(600))
+        subgroup_count(cyclic(1024))  # a single 2-part: Hall table of size 10
+    fresh = convolve(mu, t_pow_card(2))  # unmemoized; needs the whole multiset
+    assert fresh(cyclic(600)) == n_t(2)(cyclic(600))
+    with pytest.raises(BoundExceededError):  # 2^14 pairs
+        fresh(canonicalize([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]))
     # multiplicative functions decompose: large squarefree-ish orders are fine
     assert subgroup_count(cyclic(1000)) == 16
+    # values are bounded by their bit length, computed before the value
+    with pytest.raises(BoundExceededError, match="tpow:3"):
+        n_t(3)(cyclic(10**8))
+    with pytest.raises(BoundExceededError, match="cardpow:1000000000"):
+        generating_tuples(10**9)(cyclic(3))
+
+
+def test_value_bit_bound():
+    big = cyclic(2**21)
+    with pytest.raises(BoundExceededError, match="tpow:2.* 2097153 bits, above the bound 1048576"):
+        t_pow_card(2)(big)
+    assert t_pow_card(1)(big) == 1
+    assert t_pow_card(2)(cyclic(2**20 - 1)) == 2 ** (2**20 - 1)  # 2^20 bits: admitted
+    with pytest.raises(BoundExceededError, match="cardpow:100000"):
+        card_pow_t(100_000)(big)
+    assert card_pow_t(10)(big) == 2**210
+    with pytest.raises(BoundExceededError, match="binom:100000"):
+        binom_card(100_000)(big)
+    assert binom_card(3)(big) == math.comb(2**21, 3)
+    assert binom_card(4)(cyclic(3)) == 0
 
 
 def test_huge_exponent_values_are_exact():

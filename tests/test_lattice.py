@@ -10,6 +10,7 @@ from finabel.grouptype import TRIVIAL_GROUP, canonicalize, cyclic, types_up_to
 from finabel.lattice import (
     ConcreteGroup,
     Subgroup,
+    _lattice_pairs,
     all_subgroups,
     element_order,
     generated_subgroup,
@@ -94,10 +95,19 @@ def test_all_subgroups_contains_trivial_and_full_and_dedups():
 
 
 def test_all_subgroups_bound_error():
-    G = ConcreteGroup((1024,))
-    with pytest.raises(BoundExceededError, match="512"):
-        all_subgroups(G)
-    assert len(all_subgroups(G, max_order=1024)) == 11
+    # the bound is on predicted work |G| (|G| + s(G)), not on the order:
+    # Z_1024 has 11 subgroups, F_2^8 has 417,199
+    assert len(all_subgroups(ConcreteGroup((1024,)))) == 11
+    for moduli, work in (
+        ((2,) * 8, "|G|(|G| + s(G)) = 106868480"),
+        ((2,) * 9, "|G|(|G| + s(G)) = 4241392640"),
+        ((65536,), "at least |G|^2 = 4294967296"),
+    ):
+        with pytest.raises(BoundExceededError) as refusal:
+            all_subgroups(ConcreteGroup(moduli))
+        assert f"predicted work {work}, above the bound 4000000" in str(refusal.value)
+    with pytest.raises(BoundExceededError, match="106868480"):
+        _lattice_pairs((2,) * 8)
 
 
 def test_coprime_product_lattice_factorizes():
@@ -237,5 +247,9 @@ def test_subgroup_quotient_pairs_consistency():
         (cyclic(2), cyclic(2)): 3,
         (canonicalize([2, 2]), TRIVIAL_GROUP): 1,
     }
-    with pytest.raises(BoundExceededError):
-        subgroup_quotient_pairs(cyclic(1000))
+    # refused by the size of a Hall table, and by the number of pairs
+    with pytest.raises(BoundExceededError, match="Hall table of size 10"):
+        subgroup_quotient_pairs(cyclic(1024))
+    with pytest.raises(BoundExceededError, match="16384 .* pairs, above the bound 10000"):
+        subgroup_quotient_pairs(canonicalize([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]))
+    assert sum(subgroup_quotient_pairs(cyclic(1000)).values()) == 16
