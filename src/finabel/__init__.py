@@ -15,7 +15,15 @@ The library provides:
   enumerate nothing;
 * the interstice/isometry machinery deciding when translations plus
   transpositions generate the full symmetric group;
-* deliberately naive brute-force oracles for cross-validation.
+* deliberately naive brute-force oracles for cross-validation, in
+  :mod:`finabel.oracle`, which is not imported here: ``from finabel import
+  oracle`` loads it, and with it the one third-party dependency, which
+  nothing else uses.
+
+The type-level algebra (``grouptype``, ``hall``, ``functions``,
+``counting``) imports nothing from the element level (``lattice``,
+``symgen``, ``oracle``); the (subgroup type, quotient type) multisets are
+``hall.subgroup_quotient_pairs``, which ``lattice`` re-exports.
 
 No floating point is used anywhere in the math core: values are Python
 integers and ``fractions.Fraction``.
@@ -55,11 +63,11 @@ from .lattice import (
     generated_subgroup,
     quotient_type,
     smith_normal_form,
-    subgroup_quotient_pairs,
     subgroup_type,
     subgroup_type_via_snf,
     type_from_order_statistics,
 )
+from .hall import subgroup_quotient_pairs
 from .functions import (
     AbelianFunction,
     ArithmeticFunction,
@@ -110,6 +118,5 @@ from .symgen import (
     isometry_constant,
     isometry_group_order,
 )
-from . import oracle
 
 __version__ = "0.1.0"

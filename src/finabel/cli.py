@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from . import counting, oracle
+from . import counting
 from .errors import BoundExceededError
 from .functions import (
     builtin_function,
@@ -33,12 +33,8 @@ from .functions import (
     one,
 )
 from .grouptype import GroupType, parse_group_spec, types_up_to
-from .lattice import (
-    ConcreteGroup,
-    _lattice_pairs,
-    all_subgroups,
-    subgroup_quotient_pairs,
-)
+from .hall import subgroup_quotient_pairs
+from .lattice import ConcreteGroup, _lattice_pairs, all_subgroups
 from .symgen import Permutation, Transposition, generates_full_symmetric, isometry_group_order
 
 __all__ = ["main"]
@@ -192,7 +188,9 @@ def _cmd_symgen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites (oracle sweeps; not part of the stable library API)
+# verification suites (oracle sweeps; not part of the stable library API).
+# The suites that need finabel.oracle import it themselves: it is the only
+# module with a third-party dependency, which no other command needs.
 
 
 def _suite_mu(bound: int) -> tuple[int, list[str]]:
@@ -208,6 +206,8 @@ def _suite_mu(bound: int) -> tuple[int, list[str]]:
 
 
 def _suite_homs(bound: int) -> tuple[int, list[str]]:
+    from . import oracle
+
     types = list(types_up_to(bound))
     checked, bad = 0, []
     for A in types:
@@ -226,6 +226,8 @@ def _suite_homs(bound: int) -> tuple[int, list[str]]:
 
 
 def _suite_gensubsets(bound: int) -> tuple[int, list[str]]:
+    from . import oracle
+
     count_fn = n_t(2)
     checked, bad = 0, []
     for T in types_up_to(bound):
@@ -238,6 +240,8 @@ def _suite_gensubsets(bound: int) -> tuple[int, list[str]]:
 
 
 def _suite_freefuncs(bound: int) -> tuple[int, list[str]]:
+    from . import oracle
+
     checked, bad = 0, []
     for t in range(2, 11):
         fn = n_t(t)
@@ -253,6 +257,8 @@ def _suite_freefuncs(bound: int) -> tuple[int, list[str]]:
 
 
 def _suite_isometries(bound: int) -> tuple[int, list[str]]:
+    from . import oracle
+
     checked, bad = 0, []
     for T in types_up_to(bound):
         G = ConcreteGroup.from_type(T)
@@ -266,6 +272,8 @@ def _suite_isometries(bound: int) -> tuple[int, list[str]]:
 
 
 def _suite_symgen(bound: int) -> tuple[int, list[str]]:
+    from . import oracle
+
     checked, bad = 0, []
     rng = random.Random(20240831)
     for T in types_up_to(bound):

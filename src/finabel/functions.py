@@ -8,10 +8,11 @@ constant on isomorphism classes.  The convolution
 runs over all subgroups of G, not just their isomorphism classes, so it
 depends only on the multiset of (subgroup type, quotient type) pairs of G.
 That multiset comes from Hall numbers per prime, combined over the primes
-(``lattice.subgroup_quotient_pairs``, :mod:`finabel.hall`); no subgroup is
-enumerated.  The subgroup-lattice route is kept as its oracle.  delta (1 on
-the trivial group) is the unit, and every f with f(1) != 0 has a
-convolution inverse computed by recursion over proper subgroups.
+(:func:`finabel.hall.subgroup_quotient_pairs`); no subgroup is enumerated,
+and nothing here imports the element-level layer.  The subgroup-lattice
+route is kept as its oracle.  delta (1 on the trivial group) is the unit,
+and every f with f(1) != 0 has a convolution inverse computed by recursion
+over proper subgroups.
 
 Scalars are exact: Python ints and ``fractions.Fraction``, never floats.
 Evaluations are memoized per canonical type; memo entries are write-once and
@@ -27,14 +28,16 @@ by the defining rule is always available through
 
 The builtins t^|G|, |G|^t and binomial(|G|, d) refuse a value whose bit
 length, bounded in advance from |G| and the parameter, passes
-``MAX_VALUE_BITS``.
+``MAX_VALUE_BITS``; so does the multiplicative shortcut, from the sum of
+the bit lengths of the p-part values, before it multiplies them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable
 
 from .errors import BoundExceededError, NonInvertibleError
@@ -47,7 +50,7 @@ from .grouptype import (
     product,
     types_of_order,
 )
-from .lattice import subgroup_quotient_pairs
+from .hall import subgroup_quotient_pairs
 
 __all__ = [
     "MAX_VALUE_BITS",
@@ -112,9 +115,13 @@ class AbelianFunction:
         if self.multiplicative:
             parts = primary_parts(G)
             if len(parts) > 1:
-                value = Fraction(1)
-                for part in parts:
-                    value *= self(part)
+                values = [self(part) for part in parts]
+                # numerator and denominator of the product are at most this long
+                _check_bits(self.name, G, max(
+                    sum(v.numerator.bit_length() for v in values),
+                    sum(v.denominator.bit_length() for v in values),
+                ))
+                value = reduce(operator.mul, values)
             else:
                 value = Fraction(self._rule(G))
         else:

@@ -14,16 +14,18 @@ Two facts give every Hall number:
   u_nu in dominance order, so each u_nu is a rational combination of
   E-words and u_mu u_nu is a sum of Pieri chains.
 
-The multiset of a group is the product of the multisets of its p-parts
-(its subgroup lattice is the product of its Sylow lattices).  Primes are
-combined on partitions: each (subgroup, quotient) pair is carried as its
-per-prime partitions, multiplicities multiply, and each pair becomes a
-``GroupType`` once, after the last prime.  All arithmetic
-is exact (ints and ``Fraction``).  Every table is checked as it is built:
-each Hall number must be a positive integer, and for each lambda and nu the
-Hall numbers over mu must add up to Birkhoff's count of subgroups of type
-nu, an independent closed form.  The subgroup-lattice route in ``lattice``
-is the differential oracle for all of this.
+The multiset of a group, :func:`subgroup_quotient_pairs`, is the product
+of the multisets of its p-parts (its subgroup lattice is the product of its
+Sylow lattices); it is what every convolution in :mod:`finabel.functions`
+sums over.  Primes are combined on partitions: each (subgroup, quotient)
+pair is carried as its per-prime partitions, multiplicities multiply, and
+each pair becomes a ``GroupType`` once, after the last prime.  All
+arithmetic is exact (ints and ``Fraction``).  Every table is checked as it
+is built: each Hall number must be a positive integer, and for each lambda
+and nu the Hall numbers over mu must add up to Birkhoff's count of
+subgroups of type nu, an independent closed form.  The subgroup-lattice
+route, ``lattice._lattice_pairs``, is the differential oracle for all of
+this; nothing here imports it.
 
 Birkhoff's count and the |Aut| closed form, ``aut_count_of_type``, are
 also what ``counting`` multiplies over primes.
@@ -51,7 +53,7 @@ __all__ = [
     "aut_count_of_type",
     "hall_table",
     "subgroup_count_of_type",
-    "type_pairs",
+    "subgroup_quotient_pairs",
 ]
 
 Partition = tuple[int, ...]
@@ -217,10 +219,14 @@ def hall_table(p: int, n: int) -> HallTable:
     return table
 
 
-def type_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], int]:
-    """Multiset of (subgroup type, quotient type) over all subgroups of T:
-    the Hall numbers of each p-part, combined over primes.  Refuses a
-    multiset of more than ``MAX_PAIRS`` pairs."""
+@lru_cache(maxsize=None)
+def _pairs_for_moduli(
+    moduli: tuple[int, ...]
+) -> tuple[tuple[tuple[GroupType, GroupType], int], ...]:
+    """The multiset of the type with these invariant factors: the Hall
+    numbers of each p-part, combined over primes; cached per type.  Refuses
+    a multiset of more than ``MAX_PAIRS`` pairs."""
+    T = GroupType(moduli)
     parts = [(p, hall_table(p, sum(lam))[lam]) for p, lam in primary(T).components]
     count = prod(len(local) for _, local in parts)
     if count > MAX_PAIRS:
@@ -235,4 +241,11 @@ def type_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], int]:
             for (hs, qs), mult in pairs.items()
             for (nu, mu), g in local.items()
         }
-    return {(_join(hs), _join(qs)): mult for (hs, qs), mult in pairs.items()}
+    return tuple(((_join(hs), _join(qs)), mult) for (hs, qs), mult in pairs.items())
+
+
+def subgroup_quotient_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], int]:
+    """Multiset of (subgroup type, quotient type) over all subgroups of T,
+    the workhorse behind convolution sums.  Refuses types whose Hall tables
+    pass ``MAX_HALL_SIZE`` or whose multiset passes ``MAX_PAIRS`` pairs."""
+    return dict(_pairs_for_moduli(T.invariant_factors))

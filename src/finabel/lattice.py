@@ -6,16 +6,22 @@ subgroup is extended by one element outside it (one representative per coset
 suffices, since ``<H, x+h> = <H, x>`` for h in H) and closed, deduplicating
 by element set.  Internally subgroups are bitmasks over the element list.
 
+Index arithmetic (element orders, negation, translation rows, cyclic
+orbits) is built in mixed radix, one coordinate at a time, on plain ints.
+
 Two independent routes compute the abstract type of a subgroup: greedy
-reconstruction from the element-order profile, and a Smith-normal-form
-computation on generator matrices; tests cross-check them.
+reconstruction from the element-order profile (checked against the closed
+form :func:`finabel.counting.element_order_profile`), and a
+Smith-normal-form computation on generator matrices; tests cross-check
+them.
 
 The (subgroup type, quotient type) multiset behind the convolution algebra
-does not come from these lattices: :func:`subgroup_quotient_pairs` reads it
-from Hall numbers per prime (:mod:`finabel.hall`).  Enumerating the lattice
-and taking one Smith form per subgroup (``_lattice_pairs``) is kept as the
-differential oracle for that route, so lattices serve the concrete API
-(``all_subgroups``, ``symgen``) and the oracles.
+does not come from these lattices: :mod:`finabel.hall` owns it
+(``subgroup_quotient_pairs``, re-exported here) and reads it from Hall
+numbers per prime.  Enumerating the lattice and taking one Smith form per
+subgroup (``_lattice_pairs``) is kept as the differential oracle for that
+route, so lattices serve the concrete API (``all_subgroups``, ``symgen``)
+and the oracles.
 
 Enumeration is bounded by its predicted work, not by the group order: a
 lattice is refused (:class:`BoundExceededError`) when |G| (|G| + s(G)), with
@@ -31,9 +37,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .counting import _subgroup_orders
+from .counting import _subgroup_orders, element_order_profile
 from .errors import BoundExceededError
 from .grouptype import (
     GroupType,
@@ -44,7 +48,7 @@ from .grouptype import (
     from_primary,
     primary,
 )
-from .hall import type_pairs
+from .hall import _pairs_for_moduli, subgroup_quotient_pairs  # re-exported
 
 __all__ = [
     "ConcreteGroup",
@@ -90,53 +94,53 @@ def _check_lattice_work(moduli: tuple[int, ...]) -> None:
     )
 
 
+def _mixed_radix(columns: Iterable[Sequence[int]]) -> list[int]:
+    """``[sum of v_c]`` over every choice of one entry v_c per column, in
+    lexicographic order of the choices; with column c holding index
+    contributions (digit times stride), these are element indices."""
+    out = [0]
+    for column in columns:
+        out = [i + v for i in out for v in column]
+    return out
+
+
 class _Arith:
     """Shared index arithmetic for one moduli tuple.
 
     Elements are indexed 0..n-1 in lexicographic tuple order, so index 0 is
-    the identity.  Addition rows are built lazily and cached.
+    the identity and the index of (d_1, ..., d_k) is the sum of d_c times
+    the stride of coordinate c, the product of the moduli after it.
+    Addition rows are built lazily and cached.
     """
 
     def __init__(self, moduli: tuple[int, ...]):
         self.moduli = moduli
-        self.k = len(moduli)
         self.n = prod(moduli)
+        self.strides = [prod(moduli[c + 1 :]) for c in range(len(moduli))]
         self.elements: list[tuple[int, ...]] = list(
             itertools.product(*(range(m) for m in moduli))
         )
         self.index: dict[tuple[int, ...], int] = {
             g: i for i, g in enumerate(self.elements)
         }
-        if self.k:
-            self._digits = np.array(self.elements, dtype=np.int64)
-            self._mods = np.array(moduli, dtype=np.int64)
-            strides = [1] * self.k
-            for c in range(self.k - 2, -1, -1):
-                strides[c] = strides[c + 1] * moduli[c + 1]
-            self._strides = np.array(strides, dtype=np.int64)
-            self.orders: list[int] = (
-                np.lcm.reduce(self._mods // np.gcd(self._digits, self._mods), axis=1)
-                .tolist()
-            )
-            self.neg: list[int] = (
-                ((self._mods - self._digits) % self._mods) @ self._strides
-            ).tolist()
-        else:
-            self.orders = [1]
-            self.neg = [0]
+        orders = [1]
+        for m in moduli:
+            column = [m // gcd(m, d) for d in range(m)]
+            orders = [lcm(i, v) for i in orders for v in column]
+        self.orders: list[int] = orders
+        self.neg: list[int] = _mixed_radix(
+            [(-d % m) * s for d in range(m)] for m, s in zip(moduli, self.strides)
+        )
         self._rows: dict[int, list[int]] = {}
 
     def row(self, x: int) -> list[int]:
         """Translation row: ``row(x)[i]`` is the index of ``e_i + e_x``."""
         row = self._rows.get(x)
         if row is None:
-            if self.k:
-                row = (
-                    ((self._digits + self._digits[x]) % self._mods) @ self._strides
-                ).tolist()
-            else:
-                row = [0]
-            self._rows[x] = row
+            row = self._rows[x] = _mixed_radix(
+                [((d + c) % m) * s for d in range(m)]
+                for m, s, c in zip(self.moduli, self.strides, self.elements[x])
+            )
         return row
 
 
@@ -297,13 +301,16 @@ def _translate(mask: int, row: list[int]) -> int:
 
 
 def _orbit_mask(ar: _Arith, x: int) -> int:
-    """Bitmask of the cyclic subgroup generated by element ``x``."""
-    multiples = (
-        np.arange(ar.orders[x], dtype=np.int64)[:, None] * ar._digits[x]
-    ) % ar._mods
-    flags = np.zeros(ar.n, dtype=np.uint8)
-    flags[multiples @ ar._strides] = 1
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    """Bitmask of the cyclic subgroup generated by element ``x``: column c
+    holds the index contributions of coordinate c of 0, x, 2x, ..., one
+    period repeated up to the order of x."""
+    order = ar.orders[x]
+    columns = []
+    for m, s, c in zip(ar.moduli, ar.strides, ar.elements[x]):
+        period = m // gcd(m, c)
+        columns.append([(j * c % m) * s for j in range(period)] * (order // period))
+    # the order(x) multiples are distinct, so summing their bits ORs them
+    return sum(map((1).__lshift__, map(sum, zip(*columns))))
 
 
 def _close_mask(ar: _Arith, mask: int, x: int) -> int:
@@ -600,15 +607,9 @@ def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
         lam = tuple(sum(1 for a in parts_ge if a > i) for i in range(parts_ge[0]))
         components.append((p, lam))
     candidate = from_primary(PrimaryDecomposition(tuple(components)))
-    if _type_profile(candidate) != tuple(sorted(clean.items())):
+    if element_order_profile(candidate) != clean:
         raise bad
     return candidate
-
-
-@lru_cache(maxsize=None)
-def _type_profile(T: GroupType) -> tuple[tuple[int, int], ...]:
-    ar = _arith(T.invariant_factors)
-    return tuple(sorted(Counter(ar.orders).items()))
 
 
 @lru_cache(maxsize=None)
@@ -657,22 +658,14 @@ def subgroup_type_via_snf(H: Subgroup) -> GroupType:
 
 
 # ---------------------------------------------------------------------------
-# (subgroup type, quotient type) multiset per canonical group type
-
-
-@lru_cache(maxsize=None)
-def _pairs_for_moduli(
-    moduli: tuple[int, ...]
-) -> tuple[tuple[tuple[GroupType, GroupType], int], ...]:
-    """The multiset of the type with these invariant factors, from Hall
-    numbers per prime (see :mod:`finabel.hall`); cached per type."""
-    return tuple(type_pairs(GroupType(moduli)).items())
+# (subgroup type, quotient type) multiset per canonical group type: the
+# lattice route, oracle of hall.subgroup_quotient_pairs
 
 
 def _lattice_pairs(moduli: tuple[int, ...]) -> dict[tuple[GroupType, GroupType], int]:
-    """The same multiset by enumerating every subgroup of the concrete model
-    and taking one Smith form per subgroup: the differential oracle of
-    :func:`_pairs_for_moduli`."""
+    """The multiset of :func:`finabel.hall.subgroup_quotient_pairs` by
+    enumerating every subgroup of the concrete model and taking one Smith
+    form per subgroup: its differential oracle."""
     lattice = _lattice(moduli)
     ar = _arith(moduli)
     counts: Counter = Counter()
@@ -681,11 +674,3 @@ def _lattice_pairs(moduli: tuple[int, ...]) -> dict[tuple[GroupType, GroupType],
         M = _relations(moduli, [ar.elements[i] for i in gen_idxs])
         counts[(ht, _cokernel_type(M, expected_order=ar.n // len(idxs)))] += 1
     return dict(counts)
-
-
-def subgroup_quotient_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], int]:
-    """Multiset of (subgroup type, quotient type) over all subgroups of
-    ``T``, computed at the type level from Hall numbers; the workhorse
-    behind convolution sums.  Refuses types whose Hall tables or pair count
-    pass the bounds of :func:`finabel.hall.type_pairs`."""
-    return dict(_pairs_for_moduli(T.invariant_factors))

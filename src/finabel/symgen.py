@@ -4,10 +4,13 @@ The group G embeds into Sym(G) by translations (Cayley embedding; elements
 are enumerated in lexicographic tuple order).  For transpositions
 tau_i = (x_i y_i), the subgroup generated by the translations together with
 the tau_i is all of Sym(G) exactly when the differences y_i - x_i generate
-G.  The machinery behind this criterion is implemented directly: the
-interstice subgroup of a set of transpositions, and the group O(H) of
-isometries modulo a subgroup H (permutations moving every point by the same
-coset), whose order is (h!)^(g/h) * g / h.
+G.  That is decided by one Smith form, with no element listed: the
+differences generate G exactly when the cokernel of
+``[diag(m_1..m_k) | difference columns]`` is trivial.  The machinery behind
+the criterion is implemented directly too: the interstice subgroup of a set
+of transpositions (the element-level route, kept as a check), and the group
+O(H) of isometries modulo a subgroup H (permutations moving every point by
+the same coset), whose order is (h!)^(g/h) * g / h.
 
 Groups of order at most 2 are rejected: the criterion is false there.
 """
@@ -18,7 +21,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lattice import ConcreteGroup, Subgroup, generated_subgroup
+from .lattice import (
+    ConcreteGroup,
+    Subgroup,
+    _relations,
+    generated_subgroup,
+    smith_normal_form,
+)
 
 __all__ = [
     "Transposition",
@@ -121,21 +130,28 @@ def _require_usable_order(G: ConcreteGroup) -> None:
         )
 
 
+def _differences(
+    G: ConcreteGroup, taus: Iterable[Transposition]
+) -> list[tuple[int, ...]]:
+    _require_usable_order(G)
+    return [G.sub(tau.y, tau.x) for tau in taus]
+
+
 def interstice_subgroup(
     G: ConcreteGroup, taus: Iterable[Transposition]
 ) -> Subgroup:
     """Subgroup generated by the differences y_i - x_i of the transpositions;
     equals the interstice subgroup of the Cayley subgroup they generate."""
-    _require_usable_order(G)
-    deltas = [G.sub(tau.y, tau.x) for tau in taus]
-    return generated_subgroup(G, deltas)
+    return generated_subgroup(G, _differences(G, taus))
 
 
 def generates_full_symmetric(
     G: ConcreteGroup, taus: Iterable[Transposition]
 ) -> bool:
-    """True iff translations plus the given transpositions generate Sym(G)."""
-    return interstice_subgroup(G, taus).order == G.order
+    """True iff translations plus the given transpositions generate Sym(G):
+    every invariant factor of the quotient of G by the differences is 1."""
+    relations = _relations(G.moduli, _differences(G, taus))
+    return all(d == 1 for d in smith_normal_form(relations))
 
 
 def cycle_transposition_generates(n: int, i: int, j: int) -> bool:

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
+import time
 from fractions import Fraction
 from math import prod
 
@@ -11,6 +14,7 @@ from finabel.counting import gaussian_subspace_count
 
 # the first 14 primes: 2^14 (subgroup type, quotient type) pairs
 PRIMORIAL_14 = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args, timeout=None):
@@ -148,6 +152,44 @@ def test_symgen_command(capsys):
     assert capsys.readouterr().out == "true\n"
     assert main(["symgen", "2,2", "0,0>1,0"]) == 0
     assert capsys.readouterr().out == "false\n"
+
+
+def test_symgen_of_a_large_group_is_fast(capsys):
+    # one 1x2 Smith form; listing the 200000 elements took 3.6 s
+    from finabel.lattice import _arith
+
+    built = _arith.cache_info().misses
+    start = time.perf_counter()
+    assert main(["symgen", "200000", "0>1"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert time.perf_counter() - start < 1.0
+    assert _arith.cache_info().misses == built  # no index table was built
+
+
+def test_commands_without_oracles_do_not_load_numpy():
+    # only finabel.oracle needs numpy; the package and these commands do not
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import finabel
+        from finabel.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["eval", "phi", "12"], ["table", "mu,phi,nsub", "30"],
+                         ["symgen", "6", "0>1"]):
+                assert main(argv) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+        """
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_symgen_errors(capsys):

@@ -144,10 +144,11 @@ def test_profiles():
 def test_profiles_match_lattice_and_pairs():
     from collections import Counter
 
-    from finabel.lattice import _type_profile, subgroup_quotient_pairs
+    from finabel.hall import subgroup_quotient_pairs
+    from finabel.lattice import ConcreteGroup
 
     for T in types_up_to(64):
-        assert element_order_profile(T) == dict(_type_profile(T)), T
+        assert element_order_profile(T) == Counter(ConcreteGroup.from_type(T).element_orders()), T
         by_order = Counter()
         for (ht, _), mult in subgroup_quotient_pairs(T).items():
             by_order[ht.order] += mult

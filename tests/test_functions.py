@@ -7,6 +7,7 @@ import pytest
 from _classical import divisors, mobius_up_to, totient_up_to
 from finabel.errors import BoundExceededError, NonInvertibleError
 from finabel.functions import (
+    MAX_VALUE_BITS,
     AbelianFunction,
     add,
     binom_card,
@@ -244,6 +245,20 @@ def test_value_bit_bound():
         binom_card(100_000)(big)
     assert binom_card(3)(big) == math.comb(2**21, 3)
     assert binom_card(4)(cyclic(3)) == 0
+
+
+def test_multiplicative_product_is_bounded():
+    # gentuples:t on Z_p is p^t - 1: on Z_210 every p-part passes the bound,
+    # their product (about 1.16e6 bits) is refused before it is formed
+    f = generating_tuples(150_000)
+    bits = sum((p**150_000 - 1).bit_length() for p in (2, 3, 5, 7))
+    assert bits > MAX_VALUE_BITS
+    with pytest.raises(
+        BoundExceededError,
+        match=rf"gentuples:150000\(210\) may have {bits} bits, above the bound {MAX_VALUE_BITS}",
+    ):
+        f(cyclic(210))
+    assert f(cyclic(6)) == (2**150_000 - 1) * (3**150_000 - 1)
 
 
 def test_huge_exponent_values_are_exact():

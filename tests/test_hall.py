@@ -7,8 +7,9 @@ import pytest
 
 from finabel.counting import gaussian_subspace_count
 from finabel.grouptype import canonicalize, types_of_order, types_up_to
-from finabel.hall import hall_table, subgroup_count_of_type, type_pairs
-from finabel.lattice import _lattice_pairs, subgroup_quotient_pairs
+from finabel import hall, lattice
+from finabel.hall import hall_table, subgroup_count_of_type, subgroup_quotient_pairs
+from finabel.lattice import _lattice_pairs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -51,9 +52,16 @@ def test_hall_route_matches_lattice_route(types):
 
 def test_pairs_combine_over_primes():
     T = canonicalize([2, 2, 2, 2, 30])  # 2-part (1^5), 3 and 5 cyclic
-    pairs = type_pairs(T)
+    pairs = subgroup_quotient_pairs(T)
     assert sum(pairs.values()) == sum(gaussian_subspace_count(2, 5, d) for d in range(6)) * 4
     assert pairs[(canonicalize([15]), canonicalize([2] * 5))] == 1
+
+
+def test_lattice_re_exports_the_pair_multiset():
+    # the same objects, so a cache or a wrapper seen through either module
+    # is the one the algebra uses
+    assert lattice.subgroup_quotient_pairs is hall.subgroup_quotient_pairs
+    assert lattice._pairs_for_moduli is hall._pairs_for_moduli
 
 
 def test_table_checks_fire_under_python_O():

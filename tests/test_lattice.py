@@ -10,7 +10,9 @@ from finabel.grouptype import TRIVIAL_GROUP, canonicalize, cyclic, types_up_to
 from finabel.lattice import (
     ConcreteGroup,
     Subgroup,
+    _arith,
     _lattice_pairs,
+    _orbit_mask,
     all_subgroups,
     element_order,
     generated_subgroup,
@@ -42,6 +44,29 @@ def test_element_order():
         element_order(ConcreteGroup((4,)), (4,))
     with pytest.raises(ValueError):
         element_order(ConcreteGroup((4,)), (1, 1))
+
+
+def test_index_arithmetic_matches_tuple_arithmetic():
+    # the mixed-radix tables of _arith against the tuple operations, on
+    # every canonical type of order <= 64 and on moduli as a user writes them
+    moduli = [T.invariant_factors for T in types_up_to(64)]
+    moduli += [(2, 3), (4, 6, 2), (6, 10, 15), (6, 4), (3, 2, 2)]
+    for ms in moduli:
+        G = ConcreteGroup(ms)
+        ar = _arith(ms)
+        elements = G.elements()
+        assert elements == sorted(elements)
+        for i, g in enumerate(elements):
+            assert ar.orders[i] == element_order(G, g), (ms, g)
+            assert elements[ar.neg[i]] == G.neg(g), (ms, g)
+            row = ar.row(i)
+            assert [elements[j] for j in row] == [G.add(h, g) for h in elements], (ms, g)
+            if i:
+                multiples, cur = {0}, g
+                while cur != G.zero:
+                    multiples.add(ar.index[cur])
+                    cur = G.add(cur, g)
+                assert _orbit_mask(ar, i) == sum(1 << j for j in multiples), (ms, g)
 
 
 def test_generated_subgroup_examples():

@@ -75,6 +75,8 @@ def test_small_groups_rejected():
     for moduli in ((), (2,)):
         with pytest.raises(ValueError):
             interstice_subgroup(ConcreteGroup(moduli), [])
+        with pytest.raises(ValueError):
+            generates_full_symmetric(ConcreteGroup(moduli), [])
 
 
 def test_generates_full_symmetric_examples():
@@ -82,6 +84,24 @@ def test_generates_full_symmetric_examples():
     assert generates_full_symmetric(Z5, [Transposition((0,), (2,))])
     assert not generates_full_symmetric(Z4, [Transposition((0,), (2,))])
     assert generates_full_symmetric(Z4, [Transposition((1,), (2,))])
+
+
+def test_smith_form_criterion_matches_interstice_subgroup():
+    # one Smith form against the element-level interstice subgroup, on
+    # random transposition sets, including moduli as a user writes them
+    rng = random.Random(7)
+    groups = [T.invariant_factors for T in types_up_to(32) if T.order >= 3]
+    groups += [(6, 4), (2, 3), (4, 6, 2), (3, 2, 2)]
+    for moduli in groups:
+        G = ConcreteGroup(moduli)
+        elements = G.elements()
+        for _ in range(40):
+            taus = []
+            for _ in range(rng.randrange(4)):
+                x, y = rng.sample(elements, 2)
+                taus.append(Transposition(x, y))
+            want = interstice_subgroup(G, taus).order == G.order
+            assert generates_full_symmetric(G, taus) == want, (moduli, taus)
 
 
 def test_cycle_transposition_criterion():
