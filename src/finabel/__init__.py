@@ -30,9 +30,11 @@ integers and ``fractions.Fraction``.
 
 Each layer bounds the work it is about to do by a fixed constant and
 refuses more with :class:`BoundExceededError`, naming the bound and the
-predicted work: lattice enumeration (``lattice.MAX_LATTICE_WORK``), Hall
-tables and pair multisets (``hall.MAX_HALL_SIZE``, ``hall.MAX_PAIRS``),
-large values (``functions.MAX_VALUE_BITS``) and the subgroup-order profile
+predicted work: factorization (``grouptype.MAX_TRIAL_DIVISOR``), element
+tables (``lattice.MAX_ELEMENTS``), lattice enumeration
+(``lattice.MAX_LATTICE_WORK``), Hall tables and pair multisets
+(``hall.MAX_HALL_SIZE``, ``hall.MAX_PAIRS``), large values
+(``functions.MAX_VALUE_BITS``) and the subgroup-order profile
 (``counting.MAX_SUB_PARTITIONS``).  No bound is a process-wide setting.
 """
 

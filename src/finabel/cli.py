@@ -416,8 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # Python's limit on int <-> str conversion (4,300 digits) is far below the
+    # values MAX_VALUE_BITS admits (about 315,000 digits); lift it for this
+    # call only, since tests and benchmarks call main in-process
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -431,6 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 5
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

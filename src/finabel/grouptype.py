@@ -11,7 +11,13 @@ such partitions into invariant factors (d_n is the product of the largest
 parts, d_(n-1) of the second largest, and so on) and hands them to the
 validating ``GroupType`` constructor.  Integers are factorized only where
 they come in raw: user moduli in :func:`canonicalize`, invariant factors in
-:func:`primary`, and orders.
+:func:`primary`, and orders.  A list of moduli whose primes are not needed
+is brought into divisibility-chain form by gcd and lcm alone
+(:func:`_normalize`).
+
+Factorization is trial division, bounded by its work: a cofactor whose
+square root passes ``MAX_TRIAL_DIVISOR`` without a divisor found is refused
+with :class:`~finabel.errors.BoundExceededError`.
 
 >>> canonicalize([6, 4])
 GroupType(invariant_factors=(2, 12))
@@ -24,12 +30,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
+
+from .errors import BoundExceededError
 
 __all__ = [
     "GroupType",
     "PrimaryDecomposition",
+    "MAX_TRIAL_DIVISOR",
     "TRIVIAL_GROUP",
     "canonicalize",
     "cyclic",
@@ -58,14 +67,23 @@ def _sieve(limit: int) -> list[int]:
 
 
 # Covers full factorization of every n <= 10^6; larger inputs fall back to
-# plain trial division below.
+# plain trial division by odd numbers below.
 _SMALL_PRIMES = _sieve(1000)
+
+# factorize refuses a cofactor with no divisor up to this bound whose square
+# root passes it.  Trial division to 10^7 takes about 0.4 s (2-CPU x86 box,
+# Python 3.11); every n < 10^14 is still factorized in full.
+MAX_TRIAL_DIVISOR = 10_000_000
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, ``{prime: exponent}``."""
+    """Prime factorization by trial division, ``{prime: exponent}``.
+
+    Raises :class:`BoundExceededError` when a cofactor has no divisor up to
+    ``MAX_TRIAL_DIVISOR`` and its square root passes that bound."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}: expected a positive integer")
+    given = n
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -73,13 +91,22 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:
-        p = _SMALL_PRIMES[-1] + 2
-        while p * p <= n:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-            p += 2
+    p = _SMALL_PRIMES[-1] + 2
+    while p * p <= n:
+        top = isqrt(n)
+        for p in range(p, min(top, MAX_TRIAL_DIVISOR) + 1, 2):
+            if n % p == 0:
+                break
+        else:  # no divisor up to the bound: n is prime, or refused
+            if top > MAX_TRIAL_DIVISOR:
+                raise BoundExceededError(
+                    f"factorizing {given}: trial division up to the square root"
+                    f" {top} of the cofactor {n}, above the bound {MAX_TRIAL_DIVISOR}"
+                )
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return dict(sorted(out.items()))
@@ -171,13 +198,26 @@ def cyclic(n: int) -> GroupType:
     return canonicalize([n])
 
 
+def _normalize(moduli: Sequence[int]) -> list[int]:
+    """Divisibility-chain form of ``Z_m1 x ... x Z_mk`` for positive moduli:
+    (m_i, m_j) -> (gcd, lcm) for every i < j, with no factorization.  Any
+    1s come first.
+
+    >>> _normalize([4, 6, 1])
+    [1, 2, 12]
+    """
+    out = list(moduli)
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            a, b = out[i], out[j]
+            out[i], out[j] = gcd(a, b), lcm(a, b)
+    return out
+
+
 def product(a: GroupType, b: GroupType) -> GroupType:
-    """Canonical type of the direct product ``a x b``: the per-prime
-    partitions of a and b, merged."""
-    exps = primary(a).as_dict()
-    for p, parts in primary(b).components:
-        exps[p] = tuple(sorted(exps.get(p, ()) + parts, reverse=True))
-    return _join(exps.items())
+    """Canonical type of the direct product ``a x b``."""
+    chain = _normalize(a.invariant_factors + b.invariant_factors)
+    return GroupType(tuple(d for d in chain if d > 1))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
 """Brute-force reference computations used only for cross-validation.
 
 Everything here counts by direct enumeration, deliberately avoiding the
-convolution/Moebius formula code paths; only the raw element arithmetic of
-:class:`ConcreteGroup` (index tables, element orders) is shared.  Bounds are
-explicit constants and violations raise :class:`BoundExceededError` naming
-the bound, so a failing sweep is interpretable.
+convolution/Moebius formula code paths.  Two things are shared with the
+rest of the library: the raw element arithmetic of :class:`ConcreteGroup`
+(index tables, element orders) and the lattice's closure kernel
+(``lattice._orbit_mask`` for cyclic subgroups, ``lattice._close_mask`` for
+closing a subgroup under one more element).  Neither enters the type-level
+routes the oracles check (convolution over Hall-number pair multisets,
+closed-form counting), so a fault in those routes cannot be repeated here;
+the closure kernel is checked on its own, against saturation under addition
+and by Birkhoff's subgroup counts.  Bounds are explicit constants and
+violations raise :class:`BoundExceededError` naming the bound, so a failing
+sweep is interpretable.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import BoundExceededError
 from .grouptype import is_prime
-from .lattice import ConcreteGroup, Subgroup
+from .lattice import ConcreteGroup, Subgroup, _close_mask, _orbit_mask
 from .symgen import Permutation
 
 __all__ = [
@@ -48,41 +55,18 @@ def count_generating_subsets(G: ConcreteGroup) -> int:
             f"group order {n} exceeds the generating-subset sweep bound"
             f" {GENERATING_SUBSET_MAX_ORDER}"
         )
-    rows = [G.add_row(i) for i in range(n)]
+    ar = G._arith
+    orbits = [_orbit_mask(ar, x) for x in range(n)]
     full = (1 << n) - 1
     count = 0
     for subset in range(1 << n):
         closed = 1  # the identity
         todo = subset
-        while todo:
+        while todo and closed != full:
             low = todo & -todo
             todo ^= low
             x = low.bit_length() - 1
-            if (closed >> x) & 1:
-                continue
-            # close <closed, x>: union of translates by multiples of x
-            row = rows[x]
-            coset = 0
-            m = closed
-            while m:
-                b = m & -m
-                coset |= 1 << row[b.bit_length() - 1]
-                m ^= b
-            new = closed | coset
-            cur = row[x]
-            while not (closed >> cur) & 1:
-                shifted = 0
-                m = coset
-                while m:
-                    b = m & -m
-                    shifted |= 1 << row[b.bit_length() - 1]
-                    m ^= b
-                coset = shifted
-                new |= coset
-                cur = row[cur]
-            closed = new
-            if closed == full:
-                break
+            closed = orbits[x] if closed == 1 else _close_mask(ar, closed, x)
         if closed == full:
             count += 1
     return count
@@ -90,22 +74,15 @@ def count_generating_subsets(G: ConcreteGroup) -> int:
 
 def _minimal_subgroup_generators(G: ConcreteGroup) -> list[int]:
     """One prime-order element per minimal subgroup (indices)."""
-    orders = G.element_orders()
-    seen: set[frozenset[int]] = set()
+    ar = G._arith
+    seen: set[int] = set()
     reps = []
     for i in range(1, G.order):
-        if not is_prime(orders[i]):
-            continue
-        row = G.add_row(i)
-        members = [0]
-        cur = i
-        while cur:
-            members.append(cur)
-            cur = row[cur]
-        key = frozenset(members)
-        if key not in seen:
-            seen.add(key)
-            reps.append(i)
+        if is_prime(ar.orders[i]):
+            orbit = _orbit_mask(ar, i)
+            if orbit not in seen:
+                seen.add(orbit)
+                reps.append(i)
     return reps
 
 

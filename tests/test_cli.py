@@ -14,6 +14,8 @@ from finabel.counting import gaussian_subspace_count
 
 # the first 14 primes: 2^14 (subgroup type, quotient type) pairs
 PRIMORIAL_14 = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+# the Moebius function on the divisors of 30
+MOBIUS_30 = {1: 1, 2: -1, 3: -1, 5: -1, 6: 1, 10: 1, 15: 1, 30: -1}
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -285,8 +287,7 @@ def test_work_bounds_replace_the_order_flag(capsys):
     # the order bound is gone: work bounds are fixed, so the flag is a usage error
     assert run_cli("--max-lattice-order", "700", "eval", "mu", "2").returncode == 2
     # cheap work of high order is answered ...
-    mobius = {1: 1, 2: -1, 3: -1, 5: -1, 6: 1, 10: 1, 15: 1, 30: -1}
-    want = sum(m * 2 ** (600 // d) for d, m in mobius.items())
+    want = sum(m * 2 ** (600 // d) for d, m in MOBIUS_30.items())
     assert main(["eval", "nt:2", "600"]) == 0
     assert capsys.readouterr().out == f"600  nt:2  {want}\n"
     assert main(["eval", "phi", "997"]) == 0
@@ -314,6 +315,37 @@ def test_huge_values_are_refused():
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == f"error: {err}, above the bound 1048576\n"
+
+
+def test_values_past_the_int_digit_limit_are_printed(capsys):
+    # nt:2 on Z_15000 has 4,516 digits, past Python's default limit of 4,300
+    # on int-to-str conversion; main lifts that limit for its own call only
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    assert main(["eval", "nt:2", "15000"]) == 0
+    printed = capsys.readouterr().out
+    if get_limit:
+        assert get_limit() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        want = sum(m * 2 ** (15000 // d) for d, m in MOBIUS_30.items())
+        assert printed == f"15000  nt:2  {want}\n"
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_factorization_is_bounded():
+    # 2^89 - 1 is prime: trial division to its square root would take days;
+    # the refusal comes after trial division to the bound, about 0.4 s
+    proc = run_cli("eval", "phi", "618970019642690137449562111", timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: factorizing 618970019642690137449562111: trial division up to the"
+        " square root 24879108095803 of the cofactor 618970019642690137449562111,"
+        " above the bound 10000000\n"
+    )
 
 
 def test_table_bytes_deterministic():

@@ -69,6 +69,14 @@ def test_index_arithmetic_matches_tuple_arithmetic():
                 assert _orbit_mask(ar, i) == sum(1 << j for j in multiples), (ms, g)
 
 
+def test_element_tables_are_bounded():
+    with pytest.raises(BoundExceededError) as refusal:
+        generated_subgroup(ConcreteGroup((10**8,)), [(1,)])
+    assert str(refusal.value) == (
+        "element tables of Z_[100000000]: 100000000 elements, above the bound 100000"
+    )
+
+
 def test_generated_subgroup_examples():
     Z4 = ConcreteGroup((4,))
     assert generated_subgroup(Z4, [(2,)]).elements == ((0,), (2,))
@@ -151,6 +159,8 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
+    # a diagonal that is no chain, nor made one by adjacent gcd/lcm pairs
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 9]]) == [1, 6, 36]
 
 
 def test_smith_normal_form_validation():
@@ -179,16 +189,33 @@ def det(m):
     )
 
 
+@st.composite
+def sparse_rectangular(draw):
+    """Up to 4 x 5, with zero rows, zero columns and scattered zeros: pivots
+    that often fail to divide the rest of their block."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    c = draw(st.integers(min_value=1, max_value=5))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=r - 1)))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=c - 1)))
+    entry = st.just(0) | st.integers(min_value=-30, max_value=30)
+    return [
+        [0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(c)]
+        for i in range(r)
+    ]
+
+
 @given(
     st.lists(
         st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=3),
         min_size=2,
         max_size=3,
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+    | sparse_rectangular()
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_smith_invariants(rows):
     diag = smith_normal_form(rows)
+    assert len(diag) == min(len(rows), len(rows[0]))
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert a == 0 or b % a == 0
