@@ -6,9 +6,10 @@ The library provides:
 * explicit small groups with full subgroup-lattice enumeration and
   Smith-normal-form type computations;
 * the convolution algebra of abelian functions (unit delta, Moebius
-  inverse, totient, generating-set counters) over exact rationals, summed
-  through (subgroup type, quotient type) multisets computed from Hall
-  numbers per prime;
+  inverse, totient, generating-set counters) over exact rationals: when a
+  factor depends only on |G|, summed over elementary subgroups (for mu) or
+  subgroup types weighted by Birkhoff's counts, else through (subgroup
+  type, quotient type) multisets computed from Hall numbers per prime;
 * counting formulas for Hom/Mono/Epi/Aut, subgroup counts by type,
   Gaussian binomials, and order-profile classification, as closed forms
   per prime (Birkhoff's subgroup count and Macdonald's |Aut|) that
@@ -32,8 +33,9 @@ Each layer bounds the work it is about to do by a fixed constant and
 refuses more with :class:`BoundExceededError`, naming the bound and the
 predicted work: factorization (``grouptype.MAX_TRIAL_DIVISOR``), element
 tables (``lattice.MAX_ELEMENTS``), lattice enumeration
-(``lattice.MAX_LATTICE_WORK``), Hall tables and pair multisets
-(``hall.MAX_HALL_SIZE``, ``hall.MAX_PAIRS``), large values
+(``lattice.MAX_LATTICE_WORK``, which also caps the cached translation
+rows), Hall tables (``hall.MAX_HALL_SIZE``), the terms of every
+convolution sum (``hall.MAX_PAIRS``), large values
 (``functions.MAX_VALUE_BITS``) and the subgroup-order profile
 (``counting.MAX_SUB_PARTITIONS``).  No bound is a process-wide setting.
 """

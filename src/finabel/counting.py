@@ -25,7 +25,15 @@ from math import gcd
 
 from .errors import BoundExceededError
 from .grouptype import GroupType, cyclic, is_prime, primary, types_of_order
-from .hall import Partition, _gauss, aut_count_of_type, subgroup_count_of_type
+from .hall import (
+    Partition,
+    _gauss,
+    _sub_partition_count,
+    _sub_partitions,  # re-exported
+    aut_count_of_type,
+    subgroup_count_of_type,
+    subgroup_types,
+)
 
 __all__ = [
     "OrderProfile",
@@ -108,30 +116,6 @@ def gaussian_subspace_count(p: int, n: int, d: int) -> int:
     return _gauss(p, n, d)
 
 
-def _sub_partitions(lam: Partition, cap: int):
-    """Every partition nu with nu_1 <= cap and nu_i <= lam_i for all i."""
-    yield ()
-    if lam:
-        for first in range(1, min(lam[0], cap) + 1):
-            for rest in _sub_partitions(lam[1:], first):
-                yield (first,) + rest
-
-
-def _sub_partition_count(lam: Partition) -> int:
-    """len(list(_sub_partitions(lam, lam[0]))) without enumerating: below[c]
-    counts the fillings of the rows below the current one with first part
-    <= c, built from the last row up."""
-    if not lam:
-        return 1
-    below = [1] * (lam[0] + 1)
-    for part in reversed(lam):
-        here = [1] * (lam[0] + 1)
-        for c in range(1, lam[0] + 1):
-            here[c] = here[c - 1] + (below[c] if c <= part else 0)
-        below = here
-    return below[-1]
-
-
 def _combine(A: GroupType, local) -> OrderProfile:
     """Profile of A from the per-prime profiles ``local(p, lam)`` (as
     {exponent k: count of order p^k}): orders multiply across primes."""
@@ -150,8 +134,8 @@ def _element_orders(p: int, lam: Partition) -> dict[int, int]:
 
 def _subgroup_orders(p: int, lam: Partition) -> dict[int, int]:
     counts: Counter = Counter()
-    for nu in _sub_partitions(lam, lam[0]):
-        counts[sum(nu)] += subgroup_count_of_type(p, lam, nu)
+    for nu, count in subgroup_types(p, lam):
+        counts[sum(nu)] += count
     return counts
 
 

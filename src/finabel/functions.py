@@ -5,14 +5,28 @@ constant on isomorphism classes.  The convolution
 
     (f * g)(G) = sum over subgroups H of G of f(H) * g(G/H)
 
-runs over all subgroups of G, not just their isomorphism classes, so it
-depends only on the multiset of (subgroup type, quotient type) pairs of G.
-That multiset comes from Hall numbers per prime, combined over the primes
-(:func:`finabel.hall.subgroup_quotient_pairs`); no subgroup is enumerated,
-and nothing here imports the element-level layer.  The subgroup-lattice
-route is kept as its oracle.  delta (1 on the trivial group) is the unit,
-and every f with f(1) != 0 has a convolution inverse computed by recursion
-over proper subgroups.
+runs over all subgroups of G, not just their isomorphism classes.  No
+subgroup is enumerated, and nothing here imports the element-level layer
+or :mod:`finabel.counting`.  A convolution takes one of three routes:
+
+* when g depends only on |G| (it has a ``by_order`` evaluator) and f is
+  :data:`mu`, the sum runs over the elementary subgroups, the only ones
+  where mu is nonzero: a p-group of rank r has [r choose k]_p of rank k;
+* when g depends only on |G|, the sum runs over subgroup types nu,
+  s_nu(G) f(nu) g(|G|/|nu|), with s_nu(G) Birkhoff's count of subgroups
+  of type nu multiplied over primes (:func:`finabel.hall.subgroup_types`);
+* otherwise it runs over the multiset of (subgroup type, quotient type)
+  pairs of G, from Hall numbers per prime
+  (:func:`finabel.hall.subgroup_quotient_pairs`).
+
+When only f depends on |G| the factors are swapped, since the algebra is
+commutative.  The Hall route is the oracle of the first two, and the
+subgroup-lattice route is the oracle of the Hall route.  The first two are
+bounded by their number of terms, the product of the per-prime counts
+checked against ``hall.MAX_PAIRS`` before any term is formed.  delta (1
+on the trivial group) is the unit, and every f with f(1) != 0 has a
+convolution inverse computed by recursion over proper subgroups: over
+subgroup types when f depends only on |G|, else over Hall pairs.
 
 Scalars are exact: Python ints and ``fractions.Fraction``, never floats.
 Evaluations are memoized per canonical type; memo entries are write-once and
@@ -21,7 +35,7 @@ under the GIL (evaluation itself is pure).
 
 Functions flagged ``multiplicative`` may evaluate through their primary
 decomposition, f(G) = product of f over the p-parts of G, which needs only
-the pair multisets of the p-parts, so large composite orders stay cheap.
+sums over the p-parts, so large composite orders stay cheap.
 The flag is an assertion about the function (tests verify it); evaluation
 by the defining rule is always available through
 :meth:`AbelianFunction.eval_by_rule`.
@@ -38,19 +52,27 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import prod
 from typing import Callable, Iterable
 
 from .errors import BoundExceededError, NonInvertibleError
 from .grouptype import (
     GroupType,
     TRIVIAL_GROUP,
+    _join,
     cyclic,
     primary,
     primary_parts,
     product,
     types_of_order,
 )
-from .hall import subgroup_quotient_pairs
+from .hall import (
+    MAX_PAIRS,
+    _gauss,
+    _sub_partition_count,
+    subgroup_quotient_pairs,
+    subgroup_types,
+)
 
 __all__ = [
     "MAX_VALUE_BITS",
@@ -90,9 +112,14 @@ MAX_VALUE_BITS = 2**20
 
 
 class AbelianFunction:
-    """A memoized map ``GroupType -> ExactValue`` with algebra structure."""
+    """A memoized map ``GroupType -> ExactValue`` with algebra structure.
 
-    __slots__ = ("name", "_rule", "_memo", "multiplicative")
+    ``by_order``, when given, marks a function whose value depends only on
+    |G|: ``by_order(n)`` is its value on every group of order n, and
+    :func:`convolve` and :func:`inverse` then sum over subgroup types.
+    """
+
+    __slots__ = ("name", "_rule", "_memo", "multiplicative", "by_order", "_order_memo")
 
     def __init__(
         self,
@@ -100,11 +127,14 @@ class AbelianFunction:
         rule: Callable[[GroupType], int | Fraction],
         *,
         multiplicative: bool = False,
+        by_order: Callable[[int], int | Fraction] | None = None,
     ):
         self.name = name
         self._rule = rule
         self._memo: dict[GroupType, Fraction] = {}
         self.multiplicative = multiplicative
+        self.by_order = by_order
+        self._order_memo: dict[int, int | Fraction] = {}
 
     def __call__(self, G: GroupType) -> Fraction:
         if not isinstance(G, GroupType):
@@ -128,6 +158,15 @@ class AbelianFunction:
             value = Fraction(self._rule(G))
         return self._memo.setdefault(G, value)
 
+    def at_order(self, n: int) -> int | Fraction:
+        """The value on every group of order n, memoized per n; only for a
+        function with a ``by_order`` evaluator.  Integer values stay ints,
+        so the sums over subgroups add plain ints."""
+        cached = self._order_memo.get(n)
+        if cached is None:
+            cached = self._order_memo.setdefault(n, self.by_order(n))
+        return cached
+
     def eval_by_rule(self, G: GroupType) -> Fraction:
         """Evaluate the defining rule directly, bypassing the multiplicative
         shortcut and the memo (used to *check* multiplicativity)."""
@@ -137,20 +176,79 @@ class AbelianFunction:
         return f"<AbelianFunction {self.name}>"
 
 
-def convolve(f: AbelianFunction, g: AbelianFunction, name: str | None = None) -> AbelianFunction:
-    """Convolution: the sum over subgroups H of G of f(H) g(G/H)."""
+def _check_terms(name: str, G: GroupType, count: int) -> None:
+    if count > MAX_PAIRS:
+        raise BoundExceededError(
+            f"{name}({G}) sums {count} subgroup-type terms, "
+            f"above the bound MAX_PAIRS = {MAX_PAIRS}"
+        )
 
-    def rule(G: GroupType) -> Fraction:
-        total = Fraction(0)
-        for (ht, qt), mult in subgroup_quotient_pairs(G).items():
-            total += mult * f(ht) * g(qt)
-        return total
 
-    return AbelianFunction(
-        name or f"({f.name}*{g.name})",
-        rule,
-        multiplicative=f.multiplicative and g.multiplicative,
+def _type_sum(
+    name: str, G: GroupType, f: AbelianFunction, g: AbelianFunction, *, proper: bool = False
+) -> int | Fraction:
+    """The sum of s_nu(G) f(nu) g(|G|/|nu|) over the subgroup types nu of G
+    (the proper ones only, if asked), for g given by order; s_nu(G) is the
+    product of Birkhoff's counts over primes.  Refuses more than
+    ``MAX_PAIRS`` terms before forming any."""
+    components = primary(G).components
+    _check_terms(name, G, prod(_sub_partition_count(lam) for _, lam in components))
+    terms = [(1, (), 1)]  # (s_nu(G), nu as (p, partition) components, |nu|)
+    for p, lam in components:
+        terms = [
+            (count * s, parts + ((p, nu),), order * p ** sum(nu))
+            for count, parts, order in terms
+            for nu, s in subgroup_types(p, lam)
+        ]
+    n = G.order
+    return sum(
+        count * (f.at_order(order) if f.by_order else f(_join(parts))) * g.at_order(n // order)
+        for count, parts, order in terms
+        if not (proper and order == n)
     )
+
+
+def _mu_sum(name: str, G: GroupType, g: AbelianFunction) -> int | Fraction:
+    """(mu * g)(G) for g given by order.  mu vanishes off the elementary
+    subgroups, and a p-group of rank r has [r choose k]_p elementary
+    subgroups of rank k, on which mu is (-1)^k p^(k(k-1)/2)."""
+    components = primary(G).components
+    _check_terms(name, G, prod(len(lam) + 1 for _, lam in components))
+    terms = [(1, 1)]  # (sum of mu over the subgroups of this order, order)
+    for p, lam in components:
+        r = len(lam)
+        local = [((-1) ** k * p ** (k * (k - 1) // 2) * _gauss(p, r, k), p**k) for k in range(r + 1)]
+        terms = [(c * a, d * b) for c, d in terms for a, b in local]
+    n = G.order
+    return sum(c * g.at_order(n // d) for c, d in terms)
+
+
+def convolve(f: AbelianFunction, g: AbelianFunction, name: str | None = None) -> AbelianFunction:
+    """Convolution: the sum over subgroups H of G of f(H) g(G/H).
+
+    When one factor depends only on the order (``by_order``), the sum runs
+    over subgroup types, weighted by Birkhoff's counts, and over elementary
+    subgroups only when the other factor is :data:`mu`; otherwise over the
+    (subgroup type, quotient type) multiset of Hall numbers."""
+    name = name or f"({f.name}*{g.name})"
+    multiplicative = f.multiplicative and g.multiplicative
+    if g.by_order is None and f.by_order is not None:
+        f, g = g, f  # the algebra is commutative
+
+    if g.by_order is None:
+        def rule(G: GroupType) -> Fraction:
+            total = Fraction(0)
+            for (ht, qt), mult in subgroup_quotient_pairs(G).items():
+                total += mult * f(ht) * g(qt)
+            return total
+    elif f is mu:
+        def rule(G: GroupType) -> int | Fraction:
+            return _mu_sum(name, G, g)
+    else:
+        def rule(G: GroupType) -> int | Fraction:
+            return _type_sum(name, G, f, g)
+
+    return AbelianFunction(name, rule, multiplicative=multiplicative)
 
 
 def add(f: AbelianFunction, g: AbelianFunction, name: str | None = None) -> AbelianFunction:
@@ -175,7 +273,9 @@ def inverse(f: AbelianFunction, name: str | None = None) -> AbelianFunction:
     """Convolution inverse: g with f*g = delta.
 
     Requires f(1) != 0; g is built by the recursion
-    g(G) = -(1/f(1)) * sum over proper subgroups H of g(H) f(G/H).
+    g(G) = -(1/f(1)) * sum over proper subgroups H of g(H) f(G/H), over
+    subgroup types when f depends only on the order, else over the Hall
+    multiset.
     """
     f_unit = f(TRIVIAL_GROUP)
     if f_unit == 0:
@@ -183,21 +283,26 @@ def inverse(f: AbelianFunction, name: str | None = None) -> AbelianFunction:
             f"{f.name} vanishes on the trivial group and has no convolution inverse"
         )
     lead = Fraction(1) / f_unit
+    name = name or f"inv({f.name})"
 
-    def rule(G: GroupType) -> Fraction:
-        if G.is_trivial:
-            return lead
-        total = Fraction(0)
-        order = G.order
-        for (ht, qt), mult in subgroup_quotient_pairs(G).items():
-            if ht.order == order:
-                continue
-            total += mult * out(ht) * f(qt)
-        return -lead * total
+    if f.by_order is None:
+        def rule(G: GroupType) -> Fraction:
+            if G.is_trivial:
+                return lead
+            total = Fraction(0)
+            order = G.order
+            for (ht, qt), mult in subgroup_quotient_pairs(G).items():
+                if ht.order == order:
+                    continue
+                total += mult * out(ht) * f(qt)
+            return -lead * total
+    else:
+        def rule(G: GroupType) -> Fraction:
+            if G.is_trivial:
+                return lead
+            return -lead * _type_sum(name, G, out, f, proper=True)
 
-    out = AbelianFunction(
-        name or f"inv({f.name})", rule, multiplicative=f.multiplicative
-    )
+    out = AbelianFunction(name, rule, multiplicative=f.multiplicative)
     return out
 
 
@@ -218,24 +323,35 @@ def mu_closed(G: GroupType) -> int:
     return value
 
 
-delta = AbelianFunction("delta", lambda G: 1 if G.is_trivial else 0, multiplicative=True)
-one = AbelianFunction("one", lambda G: 1, multiplicative=True)
-card = AbelianFunction("card", lambda G: G.order, multiplicative=True)
+def _of_order(
+    name: str, value: Callable[[int], int | Fraction], *, multiplicative: bool = False
+) -> AbelianFunction:
+    """G -> value(|G|), marked as depending only on the order."""
+    return AbelianFunction(
+        name, lambda G: value(G.order), multiplicative=multiplicative, by_order=value
+    )
+
+
+delta = _of_order("delta", lambda n: 1 if n == 1 else 0, multiplicative=True)
+one = _of_order("one", lambda n: 1, multiplicative=True)
+card = _of_order("card", lambda n: n, multiplicative=True)
 mu = AbelianFunction("mu", mu_closed, multiplicative=True)
 phi = convolve(mu, card, name="phi")
 subgroup_count = convolve(one, one, name="nsub")
 
 
-def _check_bits(name: str, G: GroupType, bits: int) -> None:
+def _check_bits(name: str, G: GroupType | int, bits: int) -> None:
+    """Refuse a value of ``name`` at G (a type, or an order) that may be
+    longer than ``MAX_VALUE_BITS``."""
     if bits > MAX_VALUE_BITS:
         raise BoundExceededError(
             f"{name}({G}) may have {bits} bits, above the bound {MAX_VALUE_BITS}"
         )
 
 
-def _power(name: str, G: GroupType, base: int, exponent: int) -> int:
+def _power(name: str, n: int, base: int, exponent: int) -> int:
     # base <= 2^b with b = bit length of base - 1
-    _check_bits(name, G, exponent * (base - 1).bit_length() + 1)
+    _check_bits(name, n, exponent * (base - 1).bit_length() + 1)
     return base**exponent
 
 
@@ -245,9 +361,7 @@ def t_pow_card(t: int) -> AbelianFunction:
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be an integer >= 1, got {t!r}")
     name = f"tpow:{t}"
-    return AbelianFunction(
-        name, lambda G: _power(name, G, t, G.order), multiplicative=(t == 1)
-    )
+    return _of_order(name, lambda n: _power(name, n, t, n), multiplicative=(t == 1))
 
 
 @lru_cache(maxsize=None)
@@ -256,13 +370,12 @@ def card_pow_t(t: int) -> AbelianFunction:
     if not isinstance(t, int) or t < 0:
         raise ValueError(f"t must be an integer >= 0, got {t!r}")
     name = f"cardpow:{t}"
-    return AbelianFunction(name, lambda G: _power(name, G, G.order, t), multiplicative=True)
+    return _of_order(name, lambda n: _power(name, n, n, t), multiplicative=True)
 
 
-def _binom(name: str, G: GroupType, d: int) -> int:
+def _binom(name: str, n: int, d: int) -> int:
     # binomial(n, d) is below both n^d and 2^n
-    n = G.order
-    _check_bits(name, G, min(d * (n - 1).bit_length(), n) + 1)
+    _check_bits(name, n, min(d * (n - 1).bit_length(), n) + 1)
     return math.comb(n, d)
 
 
@@ -272,7 +385,7 @@ def binom_card(d: int) -> AbelianFunction:
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be an integer >= 0, got {d!r}")
     name = f"binom:{d}"
-    return AbelianFunction(name, lambda G: _binom(name, G, d))
+    return _of_order(name, lambda n: _binom(name, n, d))
 
 
 @lru_cache(maxsize=None)

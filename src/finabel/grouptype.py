@@ -10,10 +10,10 @@ the library assembles goes through one function, ``_join``, which turns
 such partitions into invariant factors (d_n is the product of the largest
 parts, d_(n-1) of the second largest, and so on) and hands them to the
 validating ``GroupType`` constructor.  Integers are factorized only where
-they come in raw: user moduli in :func:`canonicalize`, invariant factors in
-:func:`primary`, and orders.  A list of moduli whose primes are not needed
-is brought into divisibility-chain form by gcd and lcm alone
-(:func:`_normalize`).
+they come in raw: user moduli in :func:`canonicalize`, the largest
+invariant factor in :func:`primary` (memoized per type), and orders.  A
+list of moduli whose primes are not needed is brought into
+divisibility-chain form by gcd and lcm alone (:func:`_normalize`).
 
 Factorization is trial division, bounded by its work: a cofactor whose
 square root passes ``MAX_TRIAL_DIVISOR`` without a divisor found is refused
@@ -234,8 +234,10 @@ class PrimaryDecomposition:
         return dict(self.components)
 
 
+@lru_cache(maxsize=4096)
 def primary(G: GroupType) -> PrimaryDecomposition:
-    """Split a type into its p-parts.
+    """Split a type into its p-parts; memoized, so each type's largest
+    invariant factor is factorized once while it stays in the cache.
 
     >>> primary(canonicalize([2, 12])).as_dict()
     {2: (2, 1), 3: (1,)}

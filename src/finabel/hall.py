@@ -16,10 +16,13 @@ Two facts give every Hall number:
 
 The multiset of a group, :func:`subgroup_quotient_pairs`, is the product
 of the multisets of its p-parts (its subgroup lattice is the product of its
-Sylow lattices); it is what every convolution in :mod:`finabel.functions`
-sums over.  Primes are combined on partitions: each (subgroup, quotient)
-pair is carried as its per-prime partitions, multiplicities multiply, and
-each pair becomes a ``GroupType`` once, after the last prime.  All
+Sylow lattices); :mod:`finabel.functions` sums over it for a convolution
+in which neither factor depends only on the order, and for the inverse of
+such a function.  The other convolutions need only Birkhoff's counts of
+subgroups by type (:func:`subgroup_types`), which need no Hall table.
+Primes are combined on partitions: each (subgroup, quotient) pair is
+carried as its per-prime partitions, multiplicities multiply, and each
+pair becomes a ``GroupType`` once, after the last prime.  All
 arithmetic is exact (ints and ``Fraction``).  Every table is checked as it
 is built: each Hall number must be a positive integer, and for each lambda
 and nu the Hall numbers over mu must add up to Birkhoff's count of
@@ -28,12 +31,15 @@ route, ``lattice._lattice_pairs``, is the differential oracle for all of
 this; nothing here imports it.
 
 Birkhoff's count and the |Aut| closed form, ``aut_count_of_type``, are
-also what ``counting`` multiplies over primes.
+also what ``counting`` multiplies over primes, and the sub-partitions of
+lambda (``_sub_partitions``, counted without enumerating by
+``_sub_partition_count``) are the subgroup types of a p-part.
 
 Work is bounded by two constants: a Hall table of size n above
 ``MAX_HALL_SIZE`` is refused (its cost grows with the number of partitions
 of n, whatever p), and so is a multiset of more than ``MAX_PAIRS`` pairs,
 counted as the product of the per-prime counts before they are combined.
+``functions`` bounds its sums over subgroup types by ``MAX_PAIRS`` too.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ __all__ = [
     "hall_table",
     "subgroup_count_of_type",
     "subgroup_quotient_pairs",
+    "subgroup_types",
 ]
 
 Partition = tuple[int, ...]
@@ -62,7 +69,8 @@ HallTable = dict[Partition, dict[tuple[Partition, Partition], int]]
 
 # hall_table(p, n) is built in 0.18 s cold for n = 9 and 0.35 s for n = 10
 MAX_HALL_SIZE = 9
-# the largest multiset of a type of order <= 512 has 78 pairs
+# the largest multiset of a type of order <= 512 has 78 pairs; this also
+# bounds the terms of the sums over subgroup types in functions
 MAX_PAIRS = 10_000
 
 
@@ -101,6 +109,43 @@ def subgroup_count_of_type(p: int, lam: Partition, nu: Partition) -> int:
     for i, top in enumerate(lc):
         count *= p ** (nc[i + 1] * (top - nc[i])) * _gauss(p, top - nc[i + 1], nc[i] - nc[i + 1])
     return count
+
+
+def _sub_partitions(lam: Partition, cap: int):
+    """Every partition nu with nu_1 <= cap and nu_i <= lam_i for all i."""
+    yield ()
+    if lam:
+        for first in range(1, min(lam[0], cap) + 1):
+            for rest in _sub_partitions(lam[1:], first):
+                yield (first,) + rest
+
+
+def _sub_partition_count(lam: Partition) -> int:
+    """len(list(_sub_partitions(lam, lam[0]))) without enumerating: below[c]
+    counts the fillings of the rows below the current one with first part
+    <= c, built from the last row up."""
+    if not lam:
+        return 1
+    below = [1] * (lam[0] + 1)
+    for part in reversed(lam):
+        here = [1] * (lam[0] + 1)
+        for c in range(1, lam[0] + 1):
+            here[c] = here[c - 1] + (below[c] if c <= part else 0)
+        below = here
+    return below[-1]
+
+
+# each entry holds at most MAX_PAIRS (or counting.MAX_SUB_PARTITIONS) types
+@lru_cache(maxsize=256)
+def subgroup_types(p: int, lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """``((nu, count), ...)``: every subgroup type nu of the p-group of
+    (nonempty) type lam, the trivial one first, with Birkhoff's count of its
+    subgroups of that type.  Callers bound ``_sub_partition_count(lam)``
+    first."""
+    return tuple(
+        (nu, subgroup_count_of_type(p, lam, nu))
+        for nu in _sub_partitions(lam, lam[0])
+    )
 
 
 def aut_count_of_type(p: int, lam: Partition) -> int:

@@ -106,7 +106,8 @@ def _mixed_radix(columns: Iterable[Sequence[int]]) -> list[int]:
     """``[sum of v_c]`` over every choice of one entry v_c per column, in
     lexicographic order of the choices; with column c holding index
     contributions (digit times stride), these are element indices."""
-    out = [0]
+    columns = iter(columns)
+    out = list(next(columns, [0]))
     for column in columns:
         out = [i + v for i in out for v in column]
     return out
@@ -118,7 +119,7 @@ class _Arith:
     Elements are indexed 0..n-1 in lexicographic tuple order, so index 0 is
     the identity and the index of (d_1, ..., d_k) is the sum of d_c times
     the stride of coordinate c, the product of the moduli after it.
-    Addition rows are built lazily and cached.
+    Addition rows are built lazily and cached up to a fixed total size.
     """
 
     def __init__(self, moduli: tuple[int, ...]):
@@ -139,16 +140,21 @@ class _Arith:
         self.neg: list[int] = _mixed_radix(
             [(-d % m) * s for d in range(m)] for m, s in zip(moduli, self.strides)
         )
+        # digit times stride, per coordinate; a translation rotates each one
+        self._digits = [[d * s for d in range(m)] for m, s in zip(moduli, self.strides)]
         self._rows: dict[int, list[int]] = {}
 
     def row(self, x: int) -> list[int]:
-        """Translation row: ``row(x)[i]`` is the index of ``e_i + e_x``."""
+        """Translation row: ``row(x)[i]`` is the index of ``e_i + e_x``.
+        Rows are cached while the cache holds at most ``MAX_LATTICE_WORK``
+        entries; past that they are built afresh on each call."""
         row = self._rows.get(x)
         if row is None:
-            row = self._rows[x] = _mixed_radix(
-                [((d + c) % m) * s for d in range(m)]
-                for m, s, c in zip(self.moduli, self.strides, self.elements[x])
+            row = _mixed_radix(
+                digits[c:] + digits[:c] for digits, c in zip(self._digits, self.elements[x])
             )
+            if (len(self._rows) + 1) * self.n <= MAX_LATTICE_WORK:
+                self._rows[x] = row
         return row
 
 

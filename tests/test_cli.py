@@ -12,7 +12,7 @@ import pytest
 from finabel.cli import main
 from finabel.counting import gaussian_subspace_count
 
-# the first 14 primes: 2^14 (subgroup type, quotient type) pairs
+# the first 14 primes: 2^14 subgroup types, all elementary
 PRIMORIAL_14 = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
 # the Moebius function on the divisors of 30
 MOBIUS_30 = {1: 1, 2: -1, 3: -1, 5: -1, 6: 1, 10: 1, 15: 1, 30: -1}
@@ -50,8 +50,10 @@ def test_eval_error_codes(capsys):
     assert main(["eval", "nope", "2,2"]) == 2
     assert main(["eval", "mu", "2,x"]) == 2
     assert main(["eval", "mu", "0"]) == 2
-    assert main(["eval", "nsub", "1024"]) == 3
+    assert main(["eval", "nt:2", str(PRIMORIAL_14)]) == 3
     capsys.readouterr()
+    assert main(["eval", "nsub", "1024"]) == 0
+    assert capsys.readouterr().out == "1024  nsub  11\n"
 
 
 def test_usage_exit_code_from_argparse():
@@ -227,8 +229,8 @@ def test_verify_pairs_compares_the_two_routes(capsys, monkeypatch):
 
 
 def test_order_512_elementary_group(capsys):
-    # its 8,283,458 subgroups are counted from the Hall table of size 9,
-    # not enumerated
+    # its 8,283,458 subgroups are counted from Birkhoff's count per
+    # subgroup type, not enumerated
     G = ",".join(["2"] * 9)
     gauss = [gaussian_subspace_count(2, 9, d) for d in range(10)]
     assert main(["eval", "nsub", G]) == 0
@@ -244,7 +246,8 @@ def test_order_512_elementary_group(capsys):
 
 
 def test_order_1024_elementary_group(capsys):
-    # counting is closed-form; convolution needs the Hall table of size 10
+    # counting is closed-form, and so is nsub: one * one sums Birkhoff's
+    # count over the 11 subgroup types, with no Hall table of size 10
     G = ",".join(["2"] * 10)
     gauss = [gaussian_subspace_count(2, 10, d) for d in range(11)]
     assert main(["aut", G]) == 0
@@ -256,10 +259,9 @@ def test_order_1024_elementary_group(capsys):
     )
     assert main(["subcount", "2,2", G]) == 0
     assert capsys.readouterr().out == "174251\n"
-    assert main(["eval", "nsub", G]) == 3
-    assert capsys.readouterr().err == (
-        "error: Hall table of size 10 at p = 2, above the bound 9\n"
-    )
+    assert main(["eval", "nsub", G]) == 0
+    assert sum(gauss) == 229755605
+    assert capsys.readouterr().out == f"{G}  nsub  {sum(gauss)}\n"
 
 
 def test_profile_refuses_a_square_type(capsys):
@@ -296,11 +298,11 @@ def test_work_bounds_replace_the_order_flag(capsys):
     assert gauss == 56632
     assert main(["eval", "nsub", "3,3,3,3,3,3"]) == 0
     assert capsys.readouterr().out == f"3,3,3,3,3,3  nsub  {gauss}\n"
-    # ... and a large pair multiset is refused by its size
+    # ... and a large sum is refused by its number of terms
     assert main(["eval", "nt:2", str(PRIMORIAL_14)]) == 3
     assert capsys.readouterr().err == (
-        f"error: {PRIMORIAL_14} has 16384 (subgroup type, quotient type) pairs, "
-        "above the bound 10000\n"
+        f"error: nt:2({PRIMORIAL_14}) sums 16384 subgroup-type terms, "
+        "above the bound MAX_PAIRS = 10000\n"
     )
 
 
@@ -346,6 +348,27 @@ def test_factorization_is_bounded():
         " square root 24879108095803 of the cofactor 618970019642690137449562111,"
         " above the bound 10000000\n"
     )
+
+
+def test_a_large_prime_is_factorized_at_most_twice(capsys, monkeypatch):
+    # 100000000000031 is prime and its square root is MAX_TRIAL_DIVISOR:
+    # each factorization takes about 0.4 s, once in canonicalize and once
+    # in primary, whose memo serves every later split of the same type
+    from finabel import grouptype
+
+    calls = []
+    factorize = grouptype.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(grouptype, "factorize", counted)
+    grouptype.primary.cache_clear()
+    p = 100000000000031
+    assert main(["eval", "phi", str(p)]) == 0
+    assert capsys.readouterr().out == f"{p}  phi  {p - 1}\n"
+    assert calls.count(p) <= 2
 
 
 def test_table_bytes_deterministic():

@@ -38,6 +38,7 @@ from finabel.grouptype import (
     types_of_order,
     types_up_to,
 )
+from finabel.hall import MAX_PAIRS, subgroup_quotient_pairs
 
 T22 = canonicalize([2, 2])
 T24 = canonicalize([2, 4])
@@ -218,10 +219,10 @@ def test_builtin_registry():
 
 def test_lattice_bound_propagates():
     with pytest.raises(BoundExceededError):
-        subgroup_count(cyclic(1024))  # a single 2-part: Hall table of size 10
-    fresh = convolve(mu, t_pow_card(2))  # unmemoized; needs the whole multiset
+        inverse(mu)(cyclic(1024))  # a single 2-part: Hall table of size 10
+    fresh = convolve(mu, t_pow_card(2))  # unmemoized; sums over the whole type
     assert fresh(cyclic(600)) == n_t(2)(cyclic(600))
-    with pytest.raises(BoundExceededError):  # 2^14 pairs
+    with pytest.raises(BoundExceededError):  # 2^14 subgroup types
         fresh(canonicalize([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]))
     # multiplicative functions decompose: large squarefree-ish orders are fine
     assert subgroup_count(cyclic(1000)) == 16
@@ -230,6 +231,67 @@ def test_lattice_bound_propagates():
         n_t(3)(cyclic(10**8))
     with pytest.raises(BoundExceededError, match="cardpow:1000000000"):
         generating_tuples(10**9)(cyclic(3))
+
+
+def _hall_convolution(f, g, G):
+    return sum(mult * f(h) * g(q) for (h, q), mult in subgroup_quotient_pairs(G).items())
+
+
+def _hall_inverse(f):
+    memo = {}
+
+    def value(G):
+        if G not in memo:
+            lead = 1 / f(TRIVIAL_GROUP)
+            memo[G] = lead if G.is_trivial else -lead * sum(
+                mult * value(h) * f(q)
+                for (h, q), mult in subgroup_quotient_pairs(G).items()
+                if h != G
+            )
+        return memo[G]
+
+    return value
+
+
+def test_birkhoff_route_matches_hall_pairs():
+    # every builtin convolution has a factor that depends only on |G|, so it
+    # sums over subgroup types (or elementary subgroups, for mu); the Hall
+    # multiset is the reference.  convolve(card, mu) takes the swap.
+    cases = [
+        (phi, mu, card),
+        (subgroup_count, one, one),
+        (n_t(2), mu, t_pow_card(2)),
+        (n_t(3), mu, t_pow_card(3)),
+        (generating_tuples(2), mu, card_pow_t(2)),
+        (generating_subsets_of_size(2), mu, binom_card(2)),
+        (convolve(card, mu), card, mu),
+    ]
+    inv_one, want_inv = inverse(one), _hall_inverse(one)
+    types = list(types_up_to(64)) + [T for n in (81, 125, 243, 343) for T in types_of_order(n)]
+    for G in types:
+        for fg, f, g in cases:
+            want = _hall_convolution(f, g, G)
+            assert fg.eval_by_rule(G) == want, (fg.name, G)
+            assert fg(G) == want, (fg.name, G)
+        assert inv_one.eval_by_rule(G) == want_inv(G) == mu_closed(G), G
+        assert inv_one(G) == want_inv(G), G
+
+
+def test_birkhoff_route_bounds_its_terms():
+    # the first 14 primes: 2^14 elementary subgroups, and as many subgroup types
+    G = cyclic(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43)
+    message = rf"sums 16384 subgroup-type terms, above the bound MAX_PAIRS = {MAX_PAIRS}"
+    with pytest.raises(BoundExceededError, match=rf"^nt:2\({G}\) {message}$"):
+        n_t(2)(G)
+    seen = []
+    g = AbelianFunction("g", lambda G: 1, by_order=lambda n: seen.append(n) or 1)
+    unmarked = AbelianFunction("unmarked", lambda G: 1)
+    for fg in (convolve(mu, g), convolve(g, unmarked), inverse(g)):
+        with pytest.raises(BoundExceededError, match=message):
+            fg.eval_by_rule(G)
+    assert seen == [] and unmarked._memo == {}  # no term was formed
+    # 2^13 terms pass: mu * one is delta
+    assert convolve(mu, g).eval_by_rule(cyclic(G.order // 43)) == 0
 
 
 def test_value_bit_bound():

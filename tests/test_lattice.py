@@ -77,6 +77,17 @@ def test_element_tables_are_bounded():
     )
 
 
+def test_translation_rows_are_cached_up_to_a_bound():
+    # Z_5000: 800 rows of 5000 entries fill MAX_LATTICE_WORK = 4e6; later
+    # rows are built uncached, and every row is right both times
+    G = ConcreteGroup((5000,))
+    G._arith._rows.clear()
+    for _ in range(2):
+        for x in range(5000):
+            assert G.add_row(x) == list(range(x, 5000)) + list(range(x))
+    assert len(G._arith._rows) == 800
+
+
 def test_generated_subgroup_examples():
     Z4 = ConcreteGroup((4,))
     assert generated_subgroup(Z4, [(2,)]).elements == ((0,), (2,))
