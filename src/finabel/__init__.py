@@ -35,9 +35,9 @@ predicted work: factorization (``grouptype.MAX_TRIAL_DIVISOR``), element
 tables (``lattice.MAX_ELEMENTS``), lattice enumeration
 (``lattice.MAX_LATTICE_WORK``, which also caps the cached translation
 rows), Hall tables (``hall.MAX_HALL_SIZE``), the terms of every
-convolution sum (``hall.MAX_PAIRS``), large values
-(``functions.MAX_VALUE_BITS``) and the subgroup-order profile
-(``counting.MAX_SUB_PARTITIONS``).  No bound is a process-wide setting.
+convolution sum and the sub-partitions of the subgroup-order profile
+(both ``hall.MAX_PAIRS``), and large values
+(``functions.MAX_VALUE_BITS``).  No bound is a process-wide setting.
 """
 
 from .errors import BoundExceededError, NonInvertibleError

@@ -26,10 +26,10 @@ from math import gcd
 from .errors import BoundExceededError
 from .grouptype import GroupType, cyclic, is_prime, primary, types_of_order
 from .hall import (
+    MAX_PAIRS,
     Partition,
     _gauss,
     _sub_partition_count,
-    _sub_partitions,  # re-exported
     aut_count_of_type,
     subgroup_count_of_type,
     subgroup_types,
@@ -52,11 +52,6 @@ __all__ = [
 
 # order -> count of elements (or subgroups) of that order
 OrderProfile = dict[int, int]
-
-# subgroup_order_profile refuses types with more sub-partitions than this
-# (about 0.3 s of Birkhoff counts): (7)^7 has 3,432, (8)^8 has 12,870
-MAX_SUB_PARTITIONS = 10_000
-
 
 def hom_count(A: GroupType, B: GroupType) -> int:
     """|Hom(A, B)| = product of gcd(a_i, b_j) over invariant factors.
@@ -148,12 +143,12 @@ def subgroup_order_profile(A: GroupType) -> OrderProfile:
     """Counts of subgroups by order.
 
     Raises :class:`BoundExceededError` when the p-parts have more than
-    ``MAX_SUB_PARTITIONS`` sub-partitions in all."""
+    ``hall.MAX_PAIRS`` sub-partitions in all."""
     work = sum(_sub_partition_count(lam) for _, lam in primary(A).components)
-    if work > MAX_SUB_PARTITIONS:
+    if work > MAX_PAIRS:
         raise BoundExceededError(
             f"subgroup-order profile of {A} visits {work} sub-partitions, "
-            f"above the bound {MAX_SUB_PARTITIONS}"
+            f"above the bound {MAX_PAIRS}"
         )
     return _combine(A, _subgroup_orders)
 

@@ -7,7 +7,8 @@ constant on isomorphism classes.  The convolution
 
 runs over all subgroups of G, not just their isomorphism classes.  No
 subgroup is enumerated, and nothing here imports the element-level layer
-or :mod:`finabel.counting`.  A convolution takes one of three routes:
+or :mod:`finabel.counting`.  One function forms this sum for
+:func:`convolve` and :func:`inverse` alike, and it alone picks the route:
 
 * when g depends only on |G| (it has a ``by_order`` evaluator) and f is
   :data:`mu`, the sum runs over the elementary subgroups, the only ones
@@ -19,14 +20,14 @@ or :mod:`finabel.counting`.  A convolution takes one of three routes:
   pairs of G, from Hall numbers per prime
   (:func:`finabel.hall.subgroup_quotient_pairs`).
 
-When only f depends on |G| the factors are swapped, since the algebra is
-commutative.  The Hall route is the oracle of the first two, and the
+When only f depends on |G|, convolve swaps the factors, since the algebra
+is commutative.  The Hall route is the oracle of the first two, and the
 subgroup-lattice route is the oracle of the Hall route.  The first two are
 bounded by their number of terms, the product of the per-prime counts
 checked against ``hall.MAX_PAIRS`` before any term is formed.  delta (1
 on the trivial group) is the unit, and every f with f(1) != 0 has a
-convolution inverse computed by recursion over proper subgroups: over
-subgroup types when f depends only on |G|, else over Hall pairs.
+convolution inverse g: g(G) is -1/f(1) times the same sum of g(H) f(G/H),
+taken over the proper subgroups H only.
 
 Scalars are exact: Python ints and ``fractions.Fraction``, never floats.
 Evaluations are memoized per canonical type; memo entries are write-once and
@@ -184,14 +185,38 @@ def _check_terms(name: str, G: GroupType, count: int) -> None:
         )
 
 
-def _type_sum(
+def _mu_elementary(p: int, rank: int) -> int:
+    """mu on the elementary abelian p-group of the given rank."""
+    return (-1) ** rank * p ** (rank * (rank - 1) // 2)
+
+
+def _subgroup_sum(
     name: str, G: GroupType, f: AbelianFunction, g: AbelianFunction, *, proper: bool = False
 ) -> int | Fraction:
-    """The sum of s_nu(G) f(nu) g(|G|/|nu|) over the subgroup types nu of G
-    (the proper ones only, if asked), for g given by order; s_nu(G) is the
-    product of Birkhoff's counts over primes.  Refuses more than
-    ``MAX_PAIRS`` terms before forming any."""
+    """The sum of f(H) g(G/H) over the subgroups H of G (the proper ones
+    only, if asked); the one place that picks a route (module docstring).
+    The type-level routes refuse more than ``MAX_PAIRS`` terms before
+    forming any, as :func:`subgroup_quotient_pairs` does for Hall pairs."""
+    n = G.order
+    if g.by_order is None:
+        return sum(
+            mult * f(ht) * g(qt)
+            for (ht, qt), mult in subgroup_quotient_pairs(G).items()
+            if not (proper and ht.order == n)
+        )
     components = primary(G).components
+    if f is mu:
+        # mu vanishes off the elementary subgroups, and a p-group of rank r
+        # has [r choose k]_p of rank k
+        _check_terms(name, G, prod(len(lam) + 1 for _, lam in components))
+        terms = [(1, 1)]  # (sum of mu over the subgroups of this order, order)
+        for p, lam in components:
+            r = len(lam)
+            local = [(_mu_elementary(p, k) * _gauss(p, r, k), p**k) for k in range(r + 1)]
+            terms = [(c * a, d * b) for c, d in terms for a, b in local]
+        return sum(c * g.at_order(n // d) for c, d in terms if not (proper and d == n))
+    # s_nu(G) f(nu) over the subgroup types nu, s_nu(G) the product of
+    # Birkhoff's counts over primes
     _check_terms(name, G, prod(_sub_partition_count(lam) for _, lam in components))
     terms = [(1, (), 1)]  # (s_nu(G), nu as (p, partition) components, |nu|)
     for p, lam in components:
@@ -200,7 +225,6 @@ def _type_sum(
             for count, parts, order in terms
             for nu, s in subgroup_types(p, lam)
         ]
-    n = G.order
     return sum(
         count * (f.at_order(order) if f.by_order else f(_join(parts))) * g.at_order(n // order)
         for count, parts, order in terms
@@ -208,47 +232,18 @@ def _type_sum(
     )
 
 
-def _mu_sum(name: str, G: GroupType, g: AbelianFunction) -> int | Fraction:
-    """(mu * g)(G) for g given by order.  mu vanishes off the elementary
-    subgroups, and a p-group of rank r has [r choose k]_p elementary
-    subgroups of rank k, on which mu is (-1)^k p^(k(k-1)/2)."""
-    components = primary(G).components
-    _check_terms(name, G, prod(len(lam) + 1 for _, lam in components))
-    terms = [(1, 1)]  # (sum of mu over the subgroups of this order, order)
-    for p, lam in components:
-        r = len(lam)
-        local = [((-1) ** k * p ** (k * (k - 1) // 2) * _gauss(p, r, k), p**k) for k in range(r + 1)]
-        terms = [(c * a, d * b) for c, d in terms for a, b in local]
-    n = G.order
-    return sum(c * g.at_order(n // d) for c, d in terms)
-
-
 def convolve(f: AbelianFunction, g: AbelianFunction, name: str | None = None) -> AbelianFunction:
-    """Convolution: the sum over subgroups H of G of f(H) g(G/H).
-
-    When one factor depends only on the order (``by_order``), the sum runs
-    over subgroup types, weighted by Birkhoff's counts, and over elementary
-    subgroups only when the other factor is :data:`mu`; otherwise over the
-    (subgroup type, quotient type) multiset of Hall numbers."""
+    """Convolution: the sum over subgroups H of G of f(H) g(G/H), by the
+    route the module docstring describes; a factor that depends only on
+    the order (``by_order``) goes second."""
     name = name or f"({f.name}*{g.name})"
-    multiplicative = f.multiplicative and g.multiplicative
     if g.by_order is None and f.by_order is not None:
         f, g = g, f  # the algebra is commutative
-
-    if g.by_order is None:
-        def rule(G: GroupType) -> Fraction:
-            total = Fraction(0)
-            for (ht, qt), mult in subgroup_quotient_pairs(G).items():
-                total += mult * f(ht) * g(qt)
-            return total
-    elif f is mu:
-        def rule(G: GroupType) -> int | Fraction:
-            return _mu_sum(name, G, g)
-    else:
-        def rule(G: GroupType) -> int | Fraction:
-            return _type_sum(name, G, f, g)
-
-    return AbelianFunction(name, rule, multiplicative=multiplicative)
+    return AbelianFunction(
+        name,
+        lambda G: _subgroup_sum(name, G, f, g),
+        multiplicative=f.multiplicative and g.multiplicative,
+    )
 
 
 def add(f: AbelianFunction, g: AbelianFunction, name: str | None = None) -> AbelianFunction:
@@ -273,9 +268,8 @@ def inverse(f: AbelianFunction, name: str | None = None) -> AbelianFunction:
     """Convolution inverse: g with f*g = delta.
 
     Requires f(1) != 0; g is built by the recursion
-    g(G) = -(1/f(1)) * sum over proper subgroups H of g(H) f(G/H), over
-    subgroup types when f depends only on the order, else over the Hall
-    multiset.
+    g(G) = -(1/f(1)) * sum over proper subgroups H of g(H) f(G/H), by the
+    route :func:`convolve` would take with f second.
     """
     f_unit = f(TRIVIAL_GROUP)
     if f_unit == 0:
@@ -284,25 +278,11 @@ def inverse(f: AbelianFunction, name: str | None = None) -> AbelianFunction:
         )
     lead = Fraction(1) / f_unit
     name = name or f"inv({f.name})"
-
-    if f.by_order is None:
-        def rule(G: GroupType) -> Fraction:
-            if G.is_trivial:
-                return lead
-            total = Fraction(0)
-            order = G.order
-            for (ht, qt), mult in subgroup_quotient_pairs(G).items():
-                if ht.order == order:
-                    continue
-                total += mult * out(ht) * f(qt)
-            return -lead * total
-    else:
-        def rule(G: GroupType) -> Fraction:
-            if G.is_trivial:
-                return lead
-            return -lead * _type_sum(name, G, out, f, proper=True)
-
-    out = AbelianFunction(name, rule, multiplicative=f.multiplicative)
+    out = AbelianFunction(
+        name,
+        lambda G: lead if G.is_trivial else -lead * _subgroup_sum(name, G, out, f, proper=True),
+        multiplicative=f.multiplicative,
+    )
     return out
 
 
@@ -318,8 +298,7 @@ def mu_closed(G: GroupType) -> int:
     for p, exps in primary(G).components:
         if exps[0] > 1:
             return 0
-        dim = len(exps)
-        value *= (-1) ** dim * p ** (dim * (dim - 1) // 2)
+        value *= _mu_elementary(p, len(exps))
     return value
 
 

@@ -322,9 +322,8 @@ def types_of_order(n: int) -> list[GroupType]:
     per_prime = [
         [(p, lam) for lam in _partitions(e)] for p, e in factorize(n).items()
     ]
-    types = []
-    for combo in itertools.product(*per_prime):
-        types.append(from_primary(PrimaryDecomposition(tuple(combo))))
+    # the primes come from factorize, so _join skips from_primary's prime test
+    types = [_join(combo) for combo in itertools.product(*per_prime)]
     types.sort(key=lambda t: t.invariant_factors)
     return types
 

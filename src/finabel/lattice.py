@@ -48,11 +48,10 @@ from .errors import BoundExceededError
 from .grouptype import (
     GroupType,
     TRIVIAL_GROUP,
-    PrimaryDecomposition,
+    _join,
     _normalize,
     canonicalize,
     factorize,
-    from_primary,
     primary,
 )
 from .hall import _pairs_for_moduli, subgroup_quotient_pairs  # re-exported
@@ -618,7 +617,7 @@ def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
             raise bad
         lam = tuple(sum(1 for a in parts_ge if a > i) for i in range(parts_ge[0]))
         components.append((p, lam))
-    candidate = from_primary(PrimaryDecomposition(tuple(components)))
+    candidate = _join(components)  # primes from factorize
     if element_order_profile(candidate) != clean:
         raise bad
     return candidate

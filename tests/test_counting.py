@@ -4,9 +4,6 @@ import time
 import pytest
 
 from finabel.counting import (
-    MAX_SUB_PARTITIONS,
-    _sub_partition_count,
-    _sub_partitions,
     aut_count,
     conjecture_search,
     element_order_profile,
@@ -28,6 +25,7 @@ from finabel.grouptype import (
     types_of_order,
     types_up_to,
 )
+from finabel.hall import MAX_PAIRS, _sub_partition_count, _sub_partitions
 
 T22 = canonicalize([2, 2])
 
@@ -181,7 +179,7 @@ def test_sub_partition_count_matches_enumeration():
 
 
 def test_subgroup_order_profile_bounds_its_work():
-    assert _sub_partition_count((7,) * 7) <= MAX_SUB_PARTITIONS < _sub_partition_count((8,) * 8)
+    assert _sub_partition_count((7,) * 7) <= MAX_PAIRS < _sub_partition_count((8,) * 8)
     assert sum(subgroup_order_profile(canonicalize([2**7] * 7)).values()) > 0
     with pytest.raises(BoundExceededError, match="12870 sub-partitions, above the bound 10000"):
         subgroup_order_profile(canonicalize([2**8] * 8))

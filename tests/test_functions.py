@@ -266,15 +266,23 @@ def test_birkhoff_route_matches_hall_pairs():
         (generating_subsets_of_size(2), mu, binom_card(2)),
         (convolve(card, mu), card, mu),
     ]
-    inv_one, want_inv = inverse(one), _hall_inverse(one)
+    # one is multiplicative, so its memoized inverse splits into p-parts;
+    # the others are not, so their proper sums cross primes
+    inverses = [
+        (inverse(f), _hall_inverse(f))
+        for f in (one, binom_card(0), t_pow_card(2), binom_card(1))
+    ]
     types = list(types_up_to(64)) + [T for n in (81, 125, 243, 343) for T in types_of_order(n)]
     for G in types:
         for fg, f, g in cases:
             want = _hall_convolution(f, g, G)
             assert fg.eval_by_rule(G) == want, (fg.name, G)
             assert fg(G) == want, (fg.name, G)
-        assert inv_one.eval_by_rule(G) == want_inv(G) == mu_closed(G), G
-        assert inv_one(G) == want_inv(G), G
+        for inv, want_inv in inverses:
+            assert inv.eval_by_rule(G) == want_inv(G), (inv.name, G)
+            assert inv(G) == want_inv(G), (inv.name, G)
+        for inv, _ in inverses[:2]:  # inverses of the constant 1
+            assert inv(G) == mu_closed(G), (inv.name, G)
 
 
 def test_birkhoff_route_bounds_its_terms():

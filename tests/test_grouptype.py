@@ -169,7 +169,7 @@ def test_min_generators_monotone_on_subgroups():
             assert min_generators(H.abstract_type) <= bound
 
 
-def test_types_of_order():
+def test_types_of_order(monkeypatch):
     assert types_of_order(1) == [TRIVIAL_GROUP]
     assert [t.invariant_factors for t in types_of_order(8)] == [
         (2, 2, 2),
@@ -178,6 +178,20 @@ def test_types_of_order():
     ]
     assert len(types_of_order(16)) == 5
     assert len(list(types_up_to(8))) == 11
+
+    # a large prime factor is factorized once, with the order, not per type
+    from finabel import grouptype
+
+    calls = []
+    factorize = grouptype.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(grouptype, "factorize", counted)
+    assert len(types_of_order(32 * 10000000000037)) == 7
+    assert len(calls) == 1
 
 
 def test_parse_group_spec():
