@@ -24,7 +24,7 @@ from collections import Counter
 from math import gcd
 
 from .errors import BoundExceededError
-from .grouptype import GroupType, cyclic, is_prime, primary, types_of_order
+from .grouptype import GroupType, cyclic, is_prime, types_of_order
 from .hall import (
     MAX_PAIRS,
     Partition,
@@ -87,7 +87,7 @@ def epi_count(A: GroupType, B: GroupType) -> int:
 def aut_count(B: GroupType) -> int:
     """|Aut(B)|: the product over primes of the |Aut| of each p-part."""
     count = 1
-    for p, lam in primary(B).components:
+    for p, lam in B.components:
         count *= aut_count_of_type(p, lam)
     return count
 
@@ -95,9 +95,9 @@ def aut_count(B: GroupType) -> int:
 def sub_count(B: GroupType, A: GroupType) -> int:
     """Number of subgroups of A isomorphic to B: the product over primes of
     Birkhoff's count; 0 when B has a prime that A lacks."""
-    nus = primary(B).as_dict()
+    nus = dict(B.components)
     count = 1
-    for p, lam in primary(A).components:
+    for p, lam in A.components:
         count *= subgroup_count_of_type(p, lam, nus.pop(p, ()))
     return 0 if nus else count
 
@@ -115,7 +115,7 @@ def _combine(A: GroupType, local) -> OrderProfile:
     """Profile of A from the per-prime profiles ``local(p, lam)`` (as
     {exponent k: count of order p^k}): orders multiply across primes."""
     counts: dict[int, int] = {1: 1}
-    for p, lam in primary(A).components:
+    for p, lam in A.components:
         here = local(p, lam)
         counts = {d * p**k: c * n for d, c in counts.items() for k, n in here.items()}
     return dict(sorted(counts.items()))
@@ -144,7 +144,7 @@ def subgroup_order_profile(A: GroupType) -> OrderProfile:
 
     Raises :class:`BoundExceededError` when the p-parts have more than
     ``hall.MAX_PAIRS`` sub-partitions in all."""
-    work = sum(_sub_partition_count(lam) for _, lam in primary(A).components)
+    work = sum(_sub_partition_count(lam) for _, lam in A.components)
     if work > MAX_PAIRS:
         raise BoundExceededError(
             f"subgroup-order profile of {A} visits {work} sub-partitions, "

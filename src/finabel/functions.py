@@ -62,7 +62,6 @@ from .grouptype import (
     TRIVIAL_GROUP,
     _join,
     cyclic,
-    primary,
     primary_parts,
     product,
     types_of_order,
@@ -204,7 +203,7 @@ def _subgroup_sum(
             for (ht, qt), mult in subgroup_quotient_pairs(G).items()
             if not (proper and ht.order == n)
         )
-    components = primary(G).components
+    components = G.components
     if f is mu:
         # mu vanishes off the elementary subgroups, and a p-group of rank r
         # has [r choose k]_p of rank k
@@ -295,7 +294,7 @@ def mu_closed(G: GroupType) -> int:
     p-part is elementary, else the product over primes of
     (-1)^dim * p^(dim*(dim-1)/2)."""
     value = 1
-    for p, exps in primary(G).components:
+    for p, exps in G.components:
         if exps[0] > 1:
             return 0
         value *= _mu_elementary(p, len(exps))

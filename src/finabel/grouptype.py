@@ -5,15 +5,17 @@ d_1 | d_2 | ... | d_n with every d_i >= 2.  The empty chain is the trivial
 group.  ``GroupType`` values are immutable and hashable, which makes them
 usable as memoization keys throughout the library.
 
-Equally, a type is named by one exponent partition per prime.  Every type
-the library assembles goes through one function, ``_join``, which turns
-such partitions into invariant factors (d_n is the product of the largest
-parts, d_(n-1) of the second largest, and so on) and hands them to the
-validating ``GroupType`` constructor.  Integers are factorized only where
-they come in raw: user moduli in :func:`canonicalize`, the largest
-invariant factor in :func:`primary` (memoized per type), and orders.  A
-list of moduli whose primes are not needed is brought into
-divisibility-chain form by gcd and lcm alone (:func:`_normalize`).
+Equally, a type is named by one exponent partition per prime, its
+``components``.  Every type the library assembles goes through one
+function, ``_join``, which turns such partitions into invariant factors
+(d_n is the product of the largest parts, d_(n-1) of the second largest,
+and so on), hands them to the validating ``GroupType`` constructor, and
+keeps the partitions on the type.  Only a type built from raw invariant
+factors works its partitions out, once, by factorizing its largest factor
+(``GroupType.components``).  Other integers are factorized only where they
+come in raw: user moduli in :func:`canonicalize`, and orders.  A list of
+moduli whose primes are not needed is brought into divisibility-chain form
+by gcd and lcm alone (:func:`_normalize`).
 
 Factorization is trial division, bounded by its work: a cofactor whose
 square root passes ``MAX_TRIAL_DIVISOR`` without a divisor found is refused
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -123,7 +125,8 @@ class GroupType:
     """A finite abelian group up to isomorphism, as its invariant factors.
 
     The factor chain is validated at construction; use :func:`canonicalize`
-    to build a type from an arbitrary list of cyclic moduli.
+    to build a type from an arbitrary list of cyclic moduli.  Equality, hash
+    and repr see the invariant factors only.
     """
 
     invariant_factors: tuple[int, ...]
@@ -151,6 +154,34 @@ class GroupType:
     def is_cyclic(self) -> bool:
         return len(self.invariant_factors) <= 1
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``((p, partition), ...)``: primes ascending, each exponent
+        partition nonempty and descending.  A type built by ``_join``
+        carries them; any other type factorizes its largest invariant factor
+        on first use.
+
+        >>> GroupType((2, 12)).components
+        ((2, (2, 1)), (3, (1,)))
+        """
+        if self.is_trivial:
+            return ()
+        # every prime divides the largest factor, and its exponents fall down the chain
+        smaller = self.invariant_factors[-2::-1]
+        comps = []
+        for p, top in factorize(self.invariant_factors[-1]).items():
+            parts = [top]
+            for d in smaller:
+                e = 0
+                while d % p == 0:
+                    d //= p
+                    e += 1
+                if not e:
+                    break
+                parts.append(e)
+            comps.append((p, tuple(parts)))
+        return tuple(comps)
+
     def __str__(self) -> str:
         if self.is_trivial:
             return "1"
@@ -162,17 +193,22 @@ TRIVIAL_GROUP = GroupType(())
 
 def _join(components: Iterable[tuple[int, Sequence[int]]]) -> GroupType:
     """The type whose p-part has exponent partition ``exps`` for each
-    ``(p, exps)``.  Primes must be distinct and parts positive; a partition
-    that is not descending fails ``GroupType`` validation."""
+    ``(p, exps)``, carrying these partitions as its ``components`` (empty
+    ones dropped, primes sorted).  Primes must be distinct and parts
+    positive; a partition that is not descending fails ``GroupType``
+    validation."""
+    comps = tuple(sorted((p, tuple(exps)) for p, exps in components if exps))
     factors: list[int] = []
-    for p, exps in components:
+    for p, exps in comps:
         for i, e in enumerate(exps):
             if i < len(factors):
                 factors[i] *= p**e
             else:
                 factors.append(p**e)
     factors.reverse()
-    return GroupType(tuple(factors))
+    G = GroupType(tuple(factors))
+    object.__setattr__(G, "components", comps)  # spares the factorization
+    return G
 
 
 def canonicalize(moduli: Iterable[int]) -> GroupType:
@@ -234,31 +270,13 @@ class PrimaryDecomposition:
         return dict(self.components)
 
 
-@lru_cache(maxsize=4096)
 def primary(G: GroupType) -> PrimaryDecomposition:
-    """Split a type into its p-parts; memoized, so each type's largest
-    invariant factor is factorized once while it stays in the cache.
+    """Split a type into its p-parts, ``G.components``.
 
     >>> primary(canonicalize([2, 12])).as_dict()
     {2: (2, 1), 3: (1,)}
     """
-    if G.is_trivial:
-        return PrimaryDecomposition(())
-    # every prime divides the largest factor, and its exponents fall down the chain
-    smaller = G.invariant_factors[-2::-1]
-    comps = []
-    for p, top in factorize(G.invariant_factors[-1]).items():
-        parts = [top]
-        for d in smaller:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            if not e:
-                break
-            parts.append(e)
-        comps.append((p, tuple(parts)))
-    return PrimaryDecomposition(tuple(comps))
+    return PrimaryDecomposition(G.components)
 
 
 def from_primary(pd: PrimaryDecomposition) -> GroupType:
@@ -273,13 +291,13 @@ def from_primary(pd: PrimaryDecomposition) -> GroupType:
 
 def primary_parts(G: GroupType) -> tuple[GroupType, ...]:
     """The p-group types whose product is ``G``, one per prime, ascending."""
-    return tuple(_join([component]) for component in primary(G).components)
+    return tuple(_join([component]) for component in G.components)
 
 
 def is_elementary(G: GroupType) -> bool:
     """True iff every p-part is a vector space over F_p (all exponents 1),
     equivalently iff every invariant factor is squarefree."""
-    return all(exps[0] == 1 for _, exps in primary(G).components)
+    return all(exps[0] == 1 for _, exps in G.components)
 
 
 def dim_p(G: GroupType, p: int) -> int:

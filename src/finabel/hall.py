@@ -52,7 +52,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import BoundExceededError
-from .grouptype import GroupType, _join, _partitions, primary
+from .grouptype import GroupType, _join, _partitions
 
 __all__ = [
     "MAX_HALL_SIZE",
@@ -275,7 +275,7 @@ def _pairs_for_moduli(
     numbers of each p-part, combined over primes; cached per type.  Refuses
     a multiset of more than ``MAX_PAIRS`` pairs."""
     T = GroupType(moduli)
-    parts = [(p, hall_table(p, sum(lam))[lam]) for p, lam in primary(T).components]
+    parts = [(p, hall_table(p, sum(lam))[lam]) for p, lam in T.components]
     count = prod(len(local) for _, local in parts)
     if count > MAX_PAIRS:
         raise BoundExceededError(

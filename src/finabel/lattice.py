@@ -52,7 +52,6 @@ from .grouptype import (
     _normalize,
     canonicalize,
     factorize,
-    primary,
 )
 from .hall import _pairs_for_moduli, subgroup_quotient_pairs  # re-exported
 
@@ -90,7 +89,7 @@ def _check_lattice_work(moduli: tuple[int, ...]) -> None:
     else:
         subgroups = prod(
             sum(_subgroup_orders(p, lam).values())
-            for p, lam in primary(canonicalize(moduli)).components
+            for p, lam in canonicalize(moduli).components
         )
         if n * (n + subgroups) <= MAX_LATTICE_WORK:
             return
@@ -163,8 +162,13 @@ class _Arith:
 # 1,024 elements, and no lattice under MAX_LATTICE_WORK has more than 2,000.
 MAX_ELEMENTS = 100_000
 
+# _arith and _lattice keep the tables of this many recent groups: each costs
+# up to tens of MB (Z_99999 about 29 MB), and a sweep over many groups
+# would otherwise hold all of them.
+ELEMENT_CACHE_SIZE = 16
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def _arith(moduli: tuple[int, ...]) -> _Arith:
     n = prod(moduli)
     if n > MAX_ELEMENTS:
@@ -366,7 +370,7 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def _lattice(moduli: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All subgroups of the product group, as (element indices, generator
     indices), sorted by (order, element index list).  Refuses groups whose

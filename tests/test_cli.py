@@ -350,10 +350,10 @@ def test_factorization_is_bounded():
     )
 
 
-def test_a_large_prime_is_factorized_at_most_twice(capsys, monkeypatch):
+def test_a_large_prime_is_factorized_once(capsys, monkeypatch):
     # 100000000000031 is prime and its square root is MAX_TRIAL_DIVISOR:
-    # each factorization takes about 0.4 s, once in canonicalize and once
-    # in primary, whose memo serves every later split of the same type
+    # a factorization takes about 0.4 s; canonicalize does it, and the type
+    # it builds carries its partitions to every later split
     from finabel import grouptype
 
     calls = []
@@ -364,11 +364,10 @@ def test_a_large_prime_is_factorized_at_most_twice(capsys, monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(grouptype, "factorize", counted)
-    grouptype.primary.cache_clear()
     p = 100000000000031
     assert main(["eval", "phi", str(p)]) == 0
     assert capsys.readouterr().out == f"{p}  phi  {p - 1}\n"
-    assert calls.count(p) <= 2
+    assert calls.count(p) == 1
 
 
 def test_table_bytes_deterministic():

@@ -131,6 +131,8 @@ def test_primary_roundtrip_up_to_10000():
     for n in range(1, 10001):
         for T in types_of_order(n):
             assert from_primary(primary(T)) == T
+            # partitions carried from _join against partitions factorized
+            assert GroupType(T.invariant_factors).components == T.components
 
 
 def test_primary_parts():

@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from finabel.counting import gaussian_subspace_count
-from finabel.grouptype import canonicalize, types_of_order, types_up_to
+from finabel.grouptype import GroupType, canonicalize, types_of_order, types_up_to
 from finabel import hall, lattice
 from finabel.hall import hall_table, subgroup_count_of_type, subgroup_quotient_pairs
 from finabel.lattice import _lattice_pairs
@@ -55,6 +55,10 @@ def test_pairs_combine_over_primes():
     pairs = subgroup_quotient_pairs(T)
     assert sum(pairs.values()) == sum(gaussian_subspace_count(2, 5, d) for d in range(6)) * 4
     assert pairs[(canonicalize([15]), canonicalize([2] * 5))] == 1
+    # the types _join assembled, trivial p-parts dropped, carry the
+    # partitions that factorizing their invariant factors gives
+    for H in {t for pair in pairs for t in pair}:
+        assert GroupType(H.invariant_factors).components == H.components, H
 
 
 def test_lattice_re_exports_the_pair_multiset():

@@ -11,6 +11,7 @@ from finabel.lattice import (
     ConcreteGroup,
     Subgroup,
     _arith,
+    _lattice,
     _lattice_pairs,
     _orbit_mask,
     all_subgroups,
@@ -75,6 +76,11 @@ def test_element_tables_are_bounded():
     assert str(refusal.value) == (
         "element tables of Z_[100000000]: 100000000 elements, above the bound 100000"
     )
+    # the tables of 20 distinct groups: the caches keep only the latest 16
+    for n in range(2, 22):
+        all_subgroups(ConcreteGroup((n,)))
+    assert _arith.cache_info().currsize == 16
+    assert _lattice.cache_info().currsize == 16
 
 
 def test_translation_rows_are_cached_up_to_a_bound():
