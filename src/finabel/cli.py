@@ -210,11 +210,11 @@ def _suite_homs(bound: int) -> tuple[int, list[str]]:
 
     types = list(types_up_to(bound))
     checked, bad = 0, []
-    for A in types:
-        CA = ConcreteGroup.from_type(A)
-        for B in types:
+    for B in types:  # B outer: only B's element tables are used
+        CB = ConcreteGroup.from_type(B)
+        for A in types:
             checked += 1
-            hom, mono, epi = oracle.enumerate_homs(CA, ConcreteGroup.from_type(B))
+            hom, mono, epi = oracle.enumerate_homs(ConcreteGroup.from_type(A), CB)
             want = (
                 counting.hom_count(A, B),
                 counting.mono_count(A, B),

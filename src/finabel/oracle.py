@@ -5,11 +5,14 @@ convolution/Moebius formula code paths.  Two things are shared with the
 rest of the library: the raw element arithmetic of :class:`ConcreteGroup`
 (index tables, element orders) and the lattice's closure kernel
 (``lattice._orbit_mask`` for cyclic subgroups, ``lattice._close_mask`` for
-closing a subgroup under one more element).  Neither enters the type-level
-routes the oracles check (convolution over Hall-number pair multisets,
-closed-form counting), so a fault in those routes cannot be repeated here;
-the closure kernel is checked on its own, against saturation under addition
-and by Birkhoff's subgroup counts.  Bounds are explicit constants and
+closing a subgroup under one more element).  The hom oracle uses that kernel
+too: it sizes the image of every candidate map as the subgroup its generator
+images close to, and reads injectivity and surjectivity off that size.
+Neither enters the type-level routes the oracles check (convolution over
+Hall-number pair multisets, closed-form counting), so a fault in those routes
+cannot be repeated here; the closure kernel is checked on its own, against
+saturation under addition, by Birkhoff's subgroup counts, and against maps
+built from tuple arithmetic alone.  Bounds are explicit constants and
 violations raise :class:`BoundExceededError` naming the bound, so a failing
 sweep is interpretable.
 """
@@ -17,6 +20,8 @@ sweep is interpretable.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -90,10 +95,12 @@ def count_free_functions(G: ConcreteGroup, t: int) -> int:
     """Number of functions G -> {1..t} with trivial stabilizer under the
     regular translation action.
 
-    Enumerates all t^|G| functions (as base-t digit strings, vectorized in
-    chunks) and tests each individually.  A nontrivial stabilizer contains an
-    element of prime order, so one generator per minimal subgroup suffices
-    for the triviality test.
+    Enumerates all t^|G| functions as base-t digit strings, one digit per
+    element, and tests each individually.  The low digits run through one
+    block of at most ``chunk`` functions, built once; each value of the high
+    digits reuses that block with its constant high rows written in.  A
+    nontrivial stabilizer contains an element of prime order, so one
+    generator per minimal subgroup suffices for the triviality test.
     """
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be an integer >= 1, got {t!r}")
@@ -104,22 +111,33 @@ def count_free_functions(G: ConcreteGroup, t: int) -> int:
         )
     if n == 1:
         return t  # every function on the trivial group is free
-    perms = [np.array(G.add_row(i), dtype=np.intp) for i in _minimal_subgroup_generators(G)]
-    total_functions = t**n
+    perms = [G.add_row(i) for i in _minimal_subgroup_generators(G)]
     dtype = np.uint8 if t <= 255 else np.uint16
     chunk = 1 << 19
+    low = 0  # digits 0..low-1 vary inside the block, the others across blocks
+    while low < n and t ** (low + 1) <= chunk:
+        low += 1
+    block = t**low
+    digits = np.empty((n, block), dtype=dtype)  # digits[x]: the value at x
+    column = np.arange(block, dtype=np.int64)
+    for x in range(low):
+        digits[x] = column // t**x % t
+    moved = np.empty(block, dtype=bool)
+    differs = np.empty(block, dtype=bool)
+    free = np.empty(block, dtype=bool)
     free_total = 0
-    for lo in range(0, total_functions, chunk):
-        hi = min(total_functions, lo + chunk)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, n), dtype=dtype)
-        for pos in range(n - 1, -1, -1):
-            digits[:, pos] = rem % t
-            rem //= t
-        free = np.ones(hi - lo, dtype=bool)
+    for high in range(t ** (n - low)):
+        for x in range(low, n):
+            digits[x].fill(high % t)
+            high //= t
+        free.fill(True)
         for perm in perms:
-            free &= (digits != digits[:, perm]).any(axis=1)
-        free_total += int(free.sum())
+            np.not_equal(digits[0], digits[perm[0]], out=moved)
+            for x in range(1, n):
+                np.not_equal(digits[x], digits[perm[x]], out=differs)
+                moved |= differs
+            free &= moved
+        free_total += int(np.count_nonzero(free))
     return free_total
 
 
@@ -167,10 +185,14 @@ def enumerate_homs(A: ConcreteGroup, B: ConcreteGroup) -> tuple[int, int, int]:
     """(hom, mono, epi) counts by enumerating all candidate generator images.
 
     A homomorphism from the product group is any assignment sending the i-th
-    canonical generator to an element of order dividing m_i; each map is
-    materialized on all of A to test injectivity and surjectivity.
+    canonical generator to an element of order dividing m_i.  The image of a
+    map is the subgroup of B its generator images close to, so the choices
+    are walked as a prefix tree carrying that subgroup (a bitmask, extended
+    one generator per level by ``lattice._close_mask``); each leaf is one
+    map, injective when |image| = |A| and surjective when |image| = |B|.
     """
-    orders_b = B.element_orders()
+    ar = B._arith
+    orders_b = ar.orders
     candidates = [
         [j for j in range(B.order) if m % orders_b[j] == 0] for m in A.moduli
     ]
@@ -181,28 +203,22 @@ def enumerate_homs(A: ConcreteGroup, B: ConcreteGroup) -> tuple[int, int, int]:
         raise BoundExceededError(
             f"|Hom| = {total} exceeds the enumeration bound {HOM_ENUMERATION_BOUND}"
         )
-    order_b = B.order
-    hom = mono = epi = 0
-    for choice in itertools.product(*candidates):
-        # materialize the map on all of A: values of sum_j k_j * image_j
-        values = [0]
-        for j, m in zip(choice, A.moduli):
-            row_j = B.add_row(j)
-            new_values = []
-            shift = 0  # index of k * e_j
-            for _ in range(m):
-                if shift:
-                    row_s = B.add_row(shift)
-                    new_values.extend(row_s[v] for v in values)
-                else:
-                    new_values.extend(values)
-                shift = row_j[shift]
-            values = new_values
-        hom += 1
-        if values.count(0) == 1:
-            mono += 1
-        if len(set(values)) == order_b:
-            epi += 1
+    images: Counter[int] = Counter()  # |image| -> number of maps
+
+    def walk(level: int, mask: int) -> None:
+        # mask: the image of the generators before this level
+        if level + 1 < len(candidates):
+            for j in candidates[level]:
+                walk(level + 1, _close_mask(ar, mask, j))
+        else:
+            for j in candidates[level]:
+                images[_close_mask(ar, mask, j).bit_count()] += 1
+
+    if candidates:
+        walk(0, 1)
+    else:
+        images[1] = 1  # the one map from the trivial group
+    hom, mono, epi = sum(images.values()), images[A.order], images[B.order]
     if hom != total:
         raise AssertionError(f"enumerated {hom} maps, expected {total} (bug)")
     return hom, mono, epi
@@ -213,15 +229,17 @@ def permutation_closure(G: ConcreteGroup, gens: Sequence[Permutation]) -> int:
     for p in gens:
         if p.group != G:
             raise ValueError("generators act on different groups")
+    if G.order < 2:
+        return 1  # and itemgetter of one index would return a scalar
     identity = tuple(range(G.order))
-    gen_images = [p.images for p in gens]
+    right_mul = [itemgetter(*p.images) for p in gens]  # h -> h . p
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for h in frontier:
-            for g in gen_images:
-                prod = tuple(h[i] for i in g)
+            for mul in right_mul:
+                prod = mul(h)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

@@ -213,6 +213,17 @@ def test_verify_command(capsys):
     capsys.readouterr()
 
 
+def test_verify_homs_builds_each_element_table_once(capsys):
+    # the suite holds B fixed in its inner loop and needs no table for A,
+    # so each of the 37 types of order <= 24 has its tables built once
+    from finabel.lattice import _arith
+
+    _arith.cache_clear()
+    assert main(["verify", "homs", "24"]) == 0
+    assert capsys.readouterr().out == "homs: 1369 checks, OK\n"
+    assert _arith.cache_info().misses <= 37
+
+
 def test_verify_pairs_compares_the_two_routes(capsys, monkeypatch):
     from finabel import cli
 

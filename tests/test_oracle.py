@@ -1,10 +1,12 @@
+import itertools
 from math import factorial
 
 import pytest
 
+from finabel import oracle
 from finabel.errors import BoundExceededError
 from finabel.functions import n_t
-from finabel.grouptype import types_up_to
+from finabel.grouptype import canonicalize, is_prime, types_up_to
 from finabel.lattice import ConcreteGroup, all_subgroups, generated_subgroup
 from finabel.counting import epi_count, hom_count, mono_count
 from finabel.oracle import (
@@ -50,6 +52,22 @@ def test_count_free_functions_matches_formula_small():
         for t in (1, 2, 3):
             if t**T.order <= 10**7:
                 assert count_free_functions(G, t) == n_t(t)(T), (T, t)
+
+
+def test_count_free_functions_over_several_blocks():
+    # t^|G| past one block of 2^19 functions: the high digits take several
+    # values, each written into the same reused block
+    for moduli, t in (((6,), 10), ((2, 2, 2), 6)):
+        G = ConcreteGroup(moduli)
+        assert t**G.order > 1 << 19
+        assert count_free_functions(G, t) == n_t(t)(canonicalize(moduli)), (moduli, t)
+
+
+def test_minimal_subgroup_generators_match_the_lattice():
+    for T in types_up_to(64):
+        G = ConcreteGroup.from_type(T)
+        minimal = [H for H in all_subgroups(G) if is_prime(H.order)]
+        assert len(oracle._minimal_subgroup_generators(G)) == len(minimal), T
 
 
 def test_count_functions_with_stabilizer_examples():
@@ -100,6 +118,50 @@ def test_enumerate_homs_matches_formulas_small():
             assert got == (hom_count(A, B), mono_count(A, B), epi_count(A, B))
 
 
+def _homs_by_tuple_arithmetic(A: ConcreteGroup, B: ConcreteGroup) -> tuple[int, int, int]:
+    """(hom, mono, epi) from every assignment of generator images, each
+    extended to all of A with ``ConcreteGroup.add`` and kept when it
+    respects addition on every pair of elements."""
+    elements_a = list(itertools.product(*(range(m) for m in A.moduli)))
+    elements_b = list(itertools.product(*(range(m) for m in B.moduli)))
+    hom = mono = epi = 0
+    for images in itertools.product(elements_b, repeat=len(A.moduli)):
+        value = {}
+        for a in elements_a:
+            v = B.zero
+            for k, b in zip(a, images):
+                for _ in range(k):
+                    v = B.add(v, b)
+            value[a] = v
+        if all(
+            value[A.add(a, c)] == B.add(value[a], value[c])
+            for a in elements_a
+            for c in elements_a
+        ):
+            hom += 1
+            size = len(set(value.values()))
+            mono += size == A.order
+            epi += size == B.order
+    return hom, mono, epi
+
+
+def test_enumerate_homs_matches_tuple_arithmetic():
+    # the image-size kernel against maps built on all of A with no closure
+    # kernel and no formula
+    groups = [ConcreteGroup.from_type(T) for T in types_up_to(8)]
+    for A in groups:
+        for B in groups:
+            assert enumerate_homs(A, B) == _homs_by_tuple_arithmetic(A, B), (A, B)
+
+
+def test_enumerate_homs_with_a_trivial_group():
+    trivial = ConcreteGroup(())
+    for T in types_up_to(12):
+        G = ConcreteGroup.from_type(T)
+        assert enumerate_homs(trivial, G) == (1, 1, int(G.order == 1))
+        assert enumerate_homs(G, trivial) == (1, int(G.order == 1), 1)
+
+
 def test_permutation_closure_examples():
     Z3 = ConcreteGroup((3,))
     trans = Permutation.translation(Z3, (1,))
@@ -111,6 +173,9 @@ def test_permutation_closure_examples():
         [Permutation.translation(Z4, (1,)), Permutation.transposition(Z4, (0,), (2,))],
     ) == 8
     assert permutation_closure(Z4, []) == 1
+    trivial = ConcreteGroup(())
+    assert permutation_closure(trivial, []) == 1
+    assert permutation_closure(trivial, [Permutation.identity(trivial)]) == 1
 
 
 def test_enumerate_isometries_examples():
