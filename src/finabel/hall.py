@@ -269,17 +269,18 @@ def hall_table(p: int, n: int) -> HallTable:
 
 @lru_cache(maxsize=None)
 def _pairs_for_moduli(
-    moduli: tuple[int, ...]
+    components: tuple[tuple[int, tuple[int, ...]], ...]
 ) -> tuple[tuple[tuple[GroupType, GroupType], int], ...]:
-    """The multiset of the type with these invariant factors: the Hall
-    numbers of each p-part, combined over primes; cached per type.  Refuses
-    a multiset of more than ``MAX_PAIRS`` pairs."""
-    T = GroupType(moduli)
-    parts = [(p, hall_table(p, sum(lam))[lam]) for p, lam in T.components]
+    """The multiset of the type with these p-partitions: the Hall numbers
+    of each p-part, combined over primes; cached per type.  The key is
+    ``GroupType.components``, which a type already carries, so a cold call
+    factorizes nothing.  Refuses a multiset of more than ``MAX_PAIRS``
+    pairs."""
+    parts = [(p, hall_table(p, sum(lam))[lam]) for p, lam in components]
     count = prod(len(local) for _, local in parts)
     if count > MAX_PAIRS:
         raise BoundExceededError(
-            f"{T} has {count} (subgroup type, quotient type) pairs, "
+            f"{_join(components)} has {count} (subgroup type, quotient type) pairs, "
             f"above the bound {MAX_PAIRS}"
         )
     pairs: dict[tuple[tuple, tuple], int] = {((), ()): 1}
@@ -296,4 +297,4 @@ def subgroup_quotient_pairs(T: GroupType) -> dict[tuple[GroupType, GroupType], i
     """Multiset of (subgroup type, quotient type) over all subgroups of T,
     the workhorse behind convolution sums.  Refuses types whose Hall tables
     pass ``MAX_HALL_SIZE`` or whose multiset passes ``MAX_PAIRS`` pairs."""
-    return dict(_pairs_for_moduli(T.invariant_factors))
+    return dict(_pairs_for_moduli(T.components))

@@ -6,8 +6,9 @@ rest of the library: the raw element arithmetic of :class:`ConcreteGroup`
 (index tables, element orders) and the lattice's closure kernel
 (``lattice._orbit_mask`` for cyclic subgroups, ``lattice._close_mask`` for
 closing a subgroup under one more element).  The hom oracle uses that kernel
-too: it sizes the image of every candidate map as the subgroup its generator
-images close to, and reads injectivity and surjectivity off that size.
+too: it closes the image subgroup one generator image at a time, counting
+the choices of images that reach each subgroup, and reads injectivity and
+surjectivity off the size of each final image.
 Neither enters the type-level routes the oracles check (convolution over
 Hall-number pair multisets, closed-form counting), so a fault in those routes
 cannot be repeated here; the closure kernel is checked on its own, against
@@ -186,10 +187,12 @@ def enumerate_homs(A: ConcreteGroup, B: ConcreteGroup) -> tuple[int, int, int]:
 
     A homomorphism from the product group is any assignment sending the i-th
     canonical generator to an element of order dividing m_i.  The image of a
-    map is the subgroup of B its generator images close to, so the choices
-    are walked as a prefix tree carrying that subgroup (a bitmask, extended
-    one generator per level by ``lattice._close_mask``); each leaf is one
-    map, injective when |image| = |A| and surjective when |image| = |B|.
+    map is the subgroup of B its generator images close to.  The choices are
+    made one generator at a time, keeping for each image of the generators
+    chosen so far (a bitmask) the number of choices that reach it; each such
+    image is extended by every candidate of the next generator with
+    ``lattice._close_mask``.  A map is injective when |image| = |A| and
+    surjective when |image| = |B|.
     """
     ar = B._arith
     orders_b = ar.orders
@@ -203,22 +206,17 @@ def enumerate_homs(A: ConcreteGroup, B: ConcreteGroup) -> tuple[int, int, int]:
         raise BoundExceededError(
             f"|Hom| = {total} exceeds the enumeration bound {HOM_ENUMERATION_BOUND}"
         )
-    images: Counter[int] = Counter()  # |image| -> number of maps
-
-    def walk(level: int, mask: int) -> None:
-        # mask: the image of the generators before this level
-        if level + 1 < len(candidates):
-            for j in candidates[level]:
-                walk(level + 1, _close_mask(ar, mask, j))
-        else:
-            for j in candidates[level]:
-                images[_close_mask(ar, mask, j).bit_count()] += 1
-
-    if candidates:
-        walk(0, 1)
-    else:
-        images[1] = 1  # the one map from the trivial group
-    hom, mono, epi = sum(images.values()), images[A.order], images[B.order]
+    images: Counter[int] = Counter({1: 1})  # image mask -> number of maps
+    for choices in candidates:
+        extended: Counter[int] = Counter()
+        for mask, count in images.items():
+            for j in choices:
+                extended[_close_mask(ar, mask, j)] += count
+        images = extended
+    sizes: Counter[int] = Counter()  # |image| -> number of maps
+    for mask, count in images.items():
+        sizes[mask.bit_count()] += count
+    hom, mono, epi = sum(sizes.values()), sizes[A.order], sizes[B.order]
     if hom != total:
         raise AssertionError(f"enumerated {hom} maps, expected {total} (bug)")
     return hom, mono, epi

@@ -68,6 +68,20 @@ def test_lattice_re_exports_the_pair_multiset():
     assert lattice._pairs_for_moduli is hall._pairs_for_moduli
 
 
+def test_pair_multiset_does_not_factorize_again(monkeypatch):
+    # the multiset is keyed on the type's partitions: a type built by
+    # canonicalize carries them, and this prime costs about 0.4 s to factorize
+    from finabel import grouptype
+    from finabel.functions import convolve, mu
+
+    T = canonicalize([100000000000031])
+    calls = []
+    real = grouptype.factorize
+    monkeypatch.setattr(grouptype, "factorize", lambda n: calls.append(n) or real(n))
+    assert convolve(mu, mu)(T) == -2
+    assert calls == []
+
+
 def test_table_checks_fire_under_python_O():
     # wrong Pieri coefficients must be caught by explicit raises, which a
     # bare assert under -O would not be

@@ -1,5 +1,10 @@
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +165,19 @@ def test_all_subgroups_bound_error():
         _lattice_pairs((2,) * 8)
 
 
+def test_lattice_enumeration_order_is_pinned():
+    # element and generator indices, and the BFS order that picks the
+    # generators: a faster coset walk must not move any of them
+    text = "".join(
+        repr(_lattice(m))
+        for m in ((2, 2, 2, 2, 2, 2), (2, 2, 4, 4), (4, 4, 4), (2, 2, 2, 8), (3, 3, 3), (2, 6, 6))
+    )
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "01e7e01bc1743fbb5815cb8569402505b1fb22dbdc84148051f633ed4b351940"
+    )
+
+
 def test_coprime_product_lattice_factorizes():
     for m in range(2, 13):
         for n in range(2, 13):
@@ -257,6 +275,49 @@ def test_quotient_type_examples():
     assert quotient_type(Z24, H) == cyclic(2)
     with pytest.raises(ValueError):
         quotient_type(Z4, generated_subgroup(Z22, [(1, 0)]))
+
+
+def test_quotient_type_reads_the_kernel_reduction():
+    # subgroup_type_via_snf leaves G/H's Smith diagonal on H; quotient_type
+    # must read back what a fresh reduction of the same subgroup gives, and
+    # the BFS gives each subgroup as few generators as its type has factors
+    for T in types_up_to(64):
+        G = ConcreteGroup.from_type(T)
+        for H in all_subgroups(G):
+            assert len(H.generators) == len(H.abstract_type.invariant_factors), H
+            subgroup_type_via_snf(H)
+            assert H._quotient is not None or H.order == 1
+            fresh = Subgroup(G, H.elements, H.generators)
+            assert quotient_type(G, H) == quotient_type(G, fresh), H
+
+
+def test_corrupt_stored_quotient_raises_under_python_O():
+    script = textwrap.dedent(
+        """
+        from finabel.lattice import ConcreteGroup, generated_subgroup
+        from finabel.lattice import quotient_type, subgroup_type_via_snf
+
+        assert False, "assert statements must be stripped"
+        G = ConcreteGroup((2, 4))
+        H = generated_subgroup(G, [(0, 2)])
+        subgroup_type_via_snf(H)
+        H._quotient = (2,)  # |G/H| is 4
+        try:
+            quotient_type(G, H)
+        except AssertionError as exc:
+            print(exc)
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "cokernel order 2 != expected 4\n"
 
 
 def test_subgroup_and_quotient_orders_multiply():

@@ -109,6 +109,13 @@ def test_enumerate_homs_examples():
         enumerate_homs(big, big)
 
 
+def test_enumerate_homs_merges_shared_images():
+    # 16^4 maps, and |GL_4(F_2)| = 15 * 14 * 12 * 8 of them are bijective;
+    # many generator prefixes reach the same image subgroup here
+    F = ConcreteGroup((2,) * 4)
+    assert enumerate_homs(F, F) == (65536, 20160, 20160)
+
+
 def test_enumerate_homs_matches_formulas_small():
     types = list(types_up_to(9))
     for A in types:
