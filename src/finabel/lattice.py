@@ -16,10 +16,11 @@ Two independent routes compute the abstract type of a subgroup: greedy
 reconstruction from the element-order profile (checked against the closed
 form :func:`finabel.counting.element_order_profile`), and a
 Smith-normal-form computation on generator matrices; tests cross-check
-them.  The Smith route reduces ``[generator columns | diag(m)]``, whose
-cokernel is G/H, so it leaves G/H's invariant factors on the subgroup and
-:func:`quotient_type` reads them back instead of reducing the same
-relations again.  The Smith reduction eliminates rows and columns down to
+them.  The Smith route embeds G in (Z_n)^k, n the exponent of G, and
+reads H's invariant factors off one Smith form of the generators' image;
+:func:`quotient_type` takes G/H's from the Smith form of
+``[diag(m) | generator columns]``, whose cokernel is G/H.  Neither tracks
+row or column operations: the reduction eliminates rows and columns down to
 a diagonal, then turns its nonzero entries into a divisibility chain by
 replacing each pair (d_i, d_j), i < j, with (gcd, lcm)
 (:func:`finabel.grouptype._normalize`): diag(a, b) is equivalent to
@@ -53,7 +54,6 @@ from .counting import _subgroup_orders, element_order_profile
 from .errors import BoundExceededError
 from .grouptype import (
     GroupType,
-    TRIVIAL_GROUP,
     _join,
     _normalize,
     canonicalize,
@@ -273,11 +273,11 @@ class Subgroup:
 
     ``elements`` is the sorted tuple of member tuples and is the identity of
     the subgroup (equality, hashing, deduplication all key on it).
-    ``_quotient`` holds the invariant factors of G/H once
-    :func:`subgroup_type_via_snf` has reduced a matrix whose cokernel is G/H.
+    ``generators``, when given, must span it: the Smith-form routes read them
+    in place of the element list and check the resulting order.
     """
 
-    __slots__ = ("parent", "elements", "generators", "_set", "_type", "_quotient")
+    __slots__ = ("parent", "elements", "generators", "_set", "_type")
 
     def __init__(
         self,
@@ -290,7 +290,6 @@ class Subgroup:
         self.generators = tuple(generators)
         self._set: frozenset | None = None
         self._type: GroupType | None = None
-        self._quotient: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -464,27 +463,15 @@ def _validate_matrix(M: IntMatrix) -> list[list[int]]:
     return rows
 
 
-def _snf(A: list[list[int]], track_cols: bool) -> tuple[list[int], list[list[int]] | None]:
-    """In-place Smith reduction.  Returns the diagonal and, if requested, the
-    accumulated column-operation matrix C with A_orig @ C column-equivalent
-    to the reduced form (kernel generators are C's columns past the rank)."""
+def _snf(A: list[list[int]]) -> list[int]:
+    """In-place Smith reduction of ``A``; returns its Smith diagonal,
+    min(rows, cols) entries, zeros last."""
     r = len(A)
     c = len(A[0]) if r else 0
-    C = [[int(i == j) for j in range(c)] for i in range(c)] if track_cols else None
 
     def col_swap(j1: int, j2: int) -> None:
         for row in A:
             row[j1], row[j2] = row[j2], row[j1]
-        if C is not None:
-            for row in C:
-                row[j1], row[j2] = row[j2], row[j1]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for row in A:
-            row[dst] -= q * row[src]
-        if C is not None:
-            for row in C:
-                row[dst] -= q * row[src]
 
     t = 0
     while t < r and t < c:
@@ -532,7 +519,8 @@ def _snf(A: list[list[int]], track_cols: bool) -> tuple[list[int], list[list[int
                 if v:
                     q = v // a
                     if q:
-                        col_addmul(j, t, q)
+                        for row in A:
+                            row[j] -= q * row[t]
                     if A[t][j]:
                         col_swap(j, t)
                         dirty = True
@@ -542,9 +530,8 @@ def _snf(A: list[list[int]], track_cols: bool) -> tuple[list[int], list[list[int
             break
         t += 1
     # A is diagonal with t nonzero entries; the gcd/lcm chain of those is the
-    # Smith diagonal.  C needs no update: the kernel columns are unchanged.
-    diag = _normalize([abs(A[i][i]) for i in range(t)])
-    return diag + [0] * (min(r, c) - t), C
+    # Smith diagonal
+    return _normalize([abs(A[i][i]) for i in range(t)]) + [0] * (min(r, c) - t)
 
 
 def smith_normal_form(M: IntMatrix) -> list[int]:
@@ -553,21 +540,17 @@ def smith_normal_form(M: IntMatrix) -> list[int]:
     >>> smith_normal_form([[4, 0], [0, 6]])
     [2, 12]
     """
-    rows = _validate_matrix(M)
-    diag, _ = _snf(rows, track_cols=False)
-    return diag
+    return _snf(_validate_matrix(M))
 
 
-def _cokernel_type(M: list[list[int]], expected_order: int | None = None) -> GroupType:
-    """Type of ``Z^rows / columns(M)``, asserting finiteness."""
-    if not M:
-        return TRIVIAL_GROUP
-    diag, _ = _snf([row[:] for row in M], track_cols=False)
+def _cokernel_type(M: list[list[int]], expected_order: int) -> GroupType:
+    """Type of ``Z^rows / columns(M)``, reducing ``M`` in place; raises
+    AssertionError unless it is finite of order ``expected_order``."""
+    diag = _snf(M)
     if len(diag) < len(M) or any(d == 0 for d in diag):
         raise AssertionError("cokernel is infinite: generator matrix not full rank")
-    factors = tuple(d for d in diag if d > 1)
-    result = GroupType(factors)
-    if expected_order is not None and result.order != expected_order:
+    result = GroupType(tuple(d for d in diag if d > 1))
+    if result.order != expected_order:
         raise AssertionError(
             f"cokernel order {result.order} != expected {expected_order}"
         )
@@ -586,20 +569,11 @@ def _relations(moduli: Sequence[int], gens: Sequence[tuple[int, ...]]) -> list[l
 
 def quotient_type(G: ConcreteGroup, H: Subgroup) -> GroupType:
     """Invariant factors of ``G/H`` via the Smith form of
-    ``[diag(m_1..m_k) | generator columns]``.  When
-    :func:`subgroup_type_via_snf` has run on ``H``, its reduction already
-    holds that Smith form (the same columns in another order) and is read
-    back instead of reduced again; either way |G/H| must be |G|/|H|."""
+    ``[diag(m_1..m_k) | generator columns]``; |G/H| must be |G|/|H|."""
     if H.parent != G:
         raise ValueError("subgroup does not belong to the given group")
-    expected = G.order // H.order
-    if H._quotient is None:
-        M = _relations(G.moduli, H.generators or H.elements)
-        return _cokernel_type(M, expected_order=expected)
-    result = GroupType(H._quotient)
-    if result.order != expected:
-        raise AssertionError(f"cokernel order {result.order} != expected {expected}")
-    return result
+    M = _relations(G.moduli, H.generators or H.elements)
+    return _cokernel_type(M, expected_order=G.order // H.order)
 
 
 def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
@@ -677,32 +651,22 @@ def subgroup_type(H: Subgroup) -> GroupType:
 
 
 def subgroup_type_via_snf(H: Subgroup) -> GroupType:
-    """Independent route to the abstract type: present H as Z^r modulo the
-    kernel of the generator map Z^r -> G.
+    """Independent route to the abstract type: one Smith reduction of the
+    image of the generators.
 
-    The reduction of ``T = [generator columns | diag(m)]`` that finds the
-    kernel also gives T's Smith diagonal, and T's cokernel is G/H; its
-    entries above 1 are kept on ``H`` for :func:`quotient_type`."""
-    gens = H.generators or H.elements
-    gens = [g for g in gens if any(g)]
-    r = len(gens)
-    if r == 0:
-        return TRIVIAL_GROUP
+    With n = lcm(m_i), the exponent of G, x -> (x_i n/m_i) embeds G in
+    (Z_n)^k, where H is the span mod n of the columns of the k x r matrix
+    ``A[i][j] = g_j[i] n/m_i``.  If ``U A V = diag(s_i)`` with U, V
+    unimodular, hence invertible mod n, that span is the sum of the
+    Z_{n/gcd(s_i, n)}.  The order of the result must be |H|."""
     moduli = H.parent.moduli
-    k = len(moduli)
-    # kernel of [A | diag(m)] : Z^(r+k) -> Z^k, projected to the first r coords
-    T = [[gens[j][i] for j in range(r)] + [moduli[i] if j == i else 0 for j in range(k)]
-         for i in range(k)]
-    diag, C = _snf(T, track_cols=True)
-    rank = sum(1 for d in diag if d)
-    if C is None:
-        raise AssertionError("Smith reduction lost its column operations (bug)")
-    kernel_cols = [[C[i][j] for i in range(r)] for j in range(rank, r + k)]
-    if not kernel_cols:
-        raise AssertionError("generator map has no kernel: subgroup not finite?")
-    N = [[col[i] for col in kernel_cols] for i in range(r)]
-    result = _cokernel_type(N, expected_order=H.order)
-    H._quotient = tuple(d for d in diag if d > 1)
+    n = lcm(*moduli)
+    gens = H.generators or H.elements
+    A = [[g[i] * (n // m) for g in gens] for i, m in enumerate(moduli)]
+    factors = (n // gcd(s, n) for s in reversed(_snf(A)))  # a divisibility chain
+    result = GroupType(tuple(f for f in factors if f > 1))
+    if result.order != H.order:
+        raise AssertionError(f"image order {result.order} != expected {H.order}")
     return result
 
 

@@ -277,35 +277,35 @@ def test_quotient_type_examples():
         quotient_type(Z4, generated_subgroup(Z22, [(1, 0)]))
 
 
-def test_quotient_type_reads_the_kernel_reduction():
-    # subgroup_type_via_snf leaves G/H's Smith diagonal on H; quotient_type
-    # must read back what a fresh reduction of the same subgroup gives, and
+def test_subgroups_carry_as_many_generators_as_invariant_factors():
     # the BFS gives each subgroup as few generators as its type has factors
     for T in types_up_to(64):
         G = ConcreteGroup.from_type(T)
         for H in all_subgroups(G):
             assert len(H.generators) == len(H.abstract_type.invariant_factors), H
-            subgroup_type_via_snf(H)
-            assert H._quotient is not None or H.order == 1
-            fresh = Subgroup(G, H.elements, H.generators)
-            assert quotient_type(G, H) == quotient_type(G, fresh), H
 
 
-def test_corrupt_stored_quotient_raises_under_python_O():
+def test_subgroup_type_via_snf_checks_the_trivial_image():
+    # a zero generator spans the trivial group, which is not this order-2 set
+    H = Subgroup(ConcreteGroup((2, 4)), [(0, 0), (0, 2)], [(0, 0)])
+    with pytest.raises(AssertionError, match="image order 1 != expected 2"):
+        subgroup_type_via_snf(H)
+
+
+def test_wrong_generators_raise_under_python_O():
     script = textwrap.dedent(
         """
-        from finabel.lattice import ConcreteGroup, generated_subgroup
+        from finabel.lattice import ConcreteGroup, Subgroup
         from finabel.lattice import quotient_type, subgroup_type_via_snf
 
         assert False, "assert statements must be stripped"
         G = ConcreteGroup((2, 4))
-        H = generated_subgroup(G, [(0, 2)])
-        subgroup_type_via_snf(H)
-        H._quotient = (2,)  # |G/H| is 4
-        try:
-            quotient_type(G, H)
-        except AssertionError as exc:
-            print(exc)
+        H = Subgroup(G, [(0, 0), (0, 2)], [(0, 1)])  # (0, 1) spans order 4
+        for route in (subgroup_type_via_snf, lambda H: quotient_type(G, H)):
+            try:
+                route(H)
+            except AssertionError as exc:
+                print(exc)
         """
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -317,7 +317,7 @@ def test_corrupt_stored_quotient_raises_under_python_O():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "cokernel order 2 != expected 4\n"
+    assert proc.stdout == "image order 4 != expected 2\ncokernel order 2 != expected 4\n"
 
 
 def test_subgroup_and_quotient_orders_multiply():
@@ -337,11 +337,15 @@ def test_subgroup_type_examples():
 
 
 def test_subgroup_type_routes_agree():
-    # order-statistics reconstruction vs Smith-form kernel computation
-    for T in types_up_to(36):
-        G = ConcreteGroup.from_type(T)
+    # order-statistics reconstruction vs the Smith form of the generator
+    # image; in non-canonical moduli the exponent is not the last modulus
+    groups = [ConcreteGroup.from_type(T) for T in types_up_to(36)]
+    groups += [ConcreteGroup(ms) for ms in [(4, 6), (6, 10), (12, 18), (4, 6, 2)]]
+    for G in groups:
         for H in all_subgroups(G):
-            assert subgroup_type(H) == subgroup_type_via_snf(H)
+            ht = subgroup_type(H)
+            assert ht == subgroup_type_via_snf(H), H
+            assert ht == subgroup_type_via_snf(Subgroup(G, H.elements)), H
 
 
 def test_type_from_order_statistics():
