@@ -30,7 +30,6 @@ True
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
@@ -120,7 +119,11 @@ def is_prime(n: int) -> bool:
     return factorize(n) == {n: 1}
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value types."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class GroupType:
     """A finite abelian group up to isomorphism, as its invariant factors.
 
@@ -129,10 +132,8 @@ class GroupType:
     and repr see the invariant factors only.
     """
 
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        fs = self.invariant_factors
+    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
+        fs = invariant_factors
         if not isinstance(fs, tuple):
             raise ValueError("invariant_factors must be a tuple")
         for d in fs:
@@ -141,6 +142,24 @@ class GroupType:
         for a, b in itertools.pairwise(fs):
             if b % a != 0:
                 raise ValueError(f"{fs} is not a divisibility chain: {a} does not divide {b}")
+        object.__setattr__(self, "invariant_factors", fs)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self) -> int:
+        return hash((self.invariant_factors,))
+
+    def __repr__(self) -> str:
+        return f"GroupType(invariant_factors={self.invariant_factors!r})"
+
+    def __reduce__(self) -> tuple:
+        # the constructor checks the chain again; a known ``components`` rides in the state
+        return GroupType, (self.invariant_factors,), self.__dict__
 
     @property
     def order(self) -> int:
@@ -256,7 +275,6 @@ def product(a: GroupType, b: GroupType) -> GroupType:
     return GroupType(tuple(d for d in chain if d > 1))
 
 
-@dataclass(frozen=True)
 class PrimaryDecomposition:
     """Per-prime exponent partitions of the p-Sylow components.
 
@@ -264,7 +282,26 @@ class PrimaryDecomposition:
     (descending) of its cyclic p-power factors.  Every partition is nonempty.
     """
 
-    components: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[tuple[int, tuple[int, ...]], ...]) -> None:
+        object.__setattr__(self, "components", components)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
+
+    def __repr__(self) -> str:
+        return f"PrimaryDecomposition(components={self.components!r})"
+
+    def __reduce__(self) -> tuple:
+        return PrimaryDecomposition, (self.components,)
 
     def as_dict(self) -> dict[int, tuple[int, ...]]:
         return dict(self.components)

@@ -18,9 +18,9 @@ Groups of order at most 2 are rejected: the criterion is false there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .grouptype import _frozen
 from .lattice import (
     ConcreteGroup,
     Subgroup,
@@ -41,16 +41,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Transposition:
-    """An unordered pair of distinct group elements, as a transposition."""
+    """An unordered pair of distinct group elements, as a transposition:
+    ``Transposition(x, y) == Transposition(y, x)``."""
 
-    x: tuple[int, ...]
-    y: tuple[int, ...]
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if self.x == self.y:
-            raise ValueError(f"transposition endpoints must differ, got {self.x}")
+    def __init__(self, x: tuple[int, ...], y: tuple[int, ...]) -> None:
+        if x == y:
+            raise ValueError(f"transposition endpoints must differ, got {x}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return {self.x, self.y} == {other.x, other.y}
+
+    def __hash__(self) -> int:
+        return hash(frozenset((self.x, self.y)))
+
+    def __repr__(self) -> str:
+        return f"Transposition(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self) -> tuple:
+        return Transposition, (self.x, self.y)
 
 
 class Permutation:

@@ -171,7 +171,8 @@ def test_symgen_of_a_large_group_is_fast(capsys):
 
 
 def test_commands_without_oracles_do_not_load_numpy():
-    # only finabel.oracle needs numpy; the package and these commands do not
+    # only finabel.oracle needs numpy; the package and these commands do not,
+    # and no value type pulls in dataclasses and the modules it imports
     script = textwrap.dedent(
         """
         import contextlib, io, sys
@@ -183,6 +184,7 @@ def test_commands_without_oracles_do_not_load_numpy():
                          ["symgen", "6", "0>1"]):
                 assert main(argv) == 0, argv
         print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+        print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules)))
         """
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -193,7 +195,7 @@ def test_commands_without_oracles_do_not_load_numpy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_symgen_errors(capsys):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from collections import Counter
 from functools import reduce
 
@@ -81,6 +83,47 @@ def test_invalid_types_rejected():
         canonicalize([0])
     with pytest.raises(ValueError):
         canonicalize([-3])
+
+
+ROUND_TRIPS = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_value_types_round_trip(round_trip, monkeypatch):
+    joined = canonicalize([6, 4])  # built by _join, so it carries its components
+    for value in (joined, GroupType((2, 12)), TRIVIAL_GROUP, primary(joined)):
+        back = round_trip(value)
+        assert back == value and hash(back) == hash(value)
+        assert repr(back) == repr(value)
+    from finabel import grouptype
+
+    back = round_trip(joined)
+    monkeypatch.setattr(grouptype, "factorize", None)  # no factorizing on the way back
+    assert back.components == ((2, (2, 1)), (3, (1,)))
+
+
+def test_value_types_are_immutable():
+    G = canonicalize([6, 4])
+    pd = primary(G)
+    for value, field in ((G, "invariant_factors"), (G, "components"), (pd, "components")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert G.invariant_factors == (2, 12) and pd.components == G.components
+
+
+def test_value_types_repr_and_equality():
+    assert repr(canonicalize([6, 4])) == "GroupType(invariant_factors=(2, 12))"
+    assert repr(primary(cyclic(12))) == "PrimaryDecomposition(components=((2, (2,)), (3, (1,))))"
+    assert GroupType((2,)) != (2,)
+    assert PrimaryDecomposition(((2, (1,)),)) != ((2, (1,)),)
+    assert PrimaryDecomposition(((2, (1,)),)) != GroupType((2,))
+    assert hash(GroupType((2, 12))) == hash(((2, 12),))  # order of hashed sets stays as it was
 
 
 def test_order():

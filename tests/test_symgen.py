@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from math import factorial
 
@@ -61,6 +63,29 @@ def test_permutation_basics():
         Permutation.transposition(Z4, (1,), (1,))
     with pytest.raises(ValueError):
         Transposition((1,), (1,))
+
+
+def test_transposition_is_an_unordered_pair():
+    a, b = (0, 1), (1, 0)
+    assert Transposition(a, b) == Transposition(b, a)
+    assert hash(Transposition(a, b)) == hash(Transposition(b, a))
+    assert len({Transposition(a, b), Transposition(b, a)}) == 1
+    assert Transposition(a, b) != Transposition(a, (1, 1))
+    assert Transposition(a, b) != (a, b)
+
+
+def test_transposition_value_semantics():
+    tau = Transposition((0, 1), (1, 0))
+    assert repr(tau) == "Transposition(x=(0, 1), y=(1, 0))"
+    for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        back = round_trip(tau)
+        assert back == tau and hash(back) == hash(tau)
+        assert (back.x, back.y) == (tau.x, tau.y)
+    for field in ("x", "y"):
+        with pytest.raises(AttributeError):
+            setattr(tau, field, (1, 1))
+        with pytest.raises(AttributeError):
+            delattr(tau, field)
 
 
 def test_interstice_subgroup_examples():
