@@ -30,16 +30,20 @@ convolution inverse g: g(G) is -1/f(1) times the same sum of g(H) f(G/H),
 taken over the proper subgroups H only.
 
 Scalars are exact: Python ints and ``fractions.Fraction``, never floats.
-Evaluations are memoized per canonical type; memo entries are write-once and
-idempotent, so concurrent readers and redundant concurrent writers are safe
-under the GIL (evaluation itself is pure).
-
-Functions flagged ``multiplicative`` may evaluate through their primary
+Functions flagged ``multiplicative`` evaluate through their primary
 decomposition, f(G) = product of f over the p-parts of G, which needs only
 sums over the p-parts, so large composite orders stay cheap.
 The flag is an assertion about the function (tests verify it); evaluation
 by the defining rule is always available through
 :meth:`AbelianFunction.eval_by_rule`.
+
+A multiplicative function memoizes one value per p-part, keyed by its
+component (p, partition), and no composite value, so its memo grows with
+the distinct p-parts, not the types; a composite value is a new product on
+each call (equal, not identical).  Other functions are memoized per
+canonical type.  Memo entries are write-once and idempotent, so concurrent
+readers and redundant concurrent writers are safe under the GIL
+(evaluation itself is pure).
 
 The builtins t^|G|, |G|^t and binomial(|G|, d) refuse a value whose bit
 length, bounded in advance from |G| and the parameter, passes
@@ -50,9 +54,8 @@ the bit lengths of the p-part values, before it multiplies them.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable
 
@@ -62,7 +65,6 @@ from .grouptype import (
     TRIVIAL_GROUP,
     _join,
     cyclic,
-    primary_parts,
     product,
     types_of_order,
 )
@@ -114,6 +116,11 @@ MAX_VALUE_BITS = 2**20
 class AbelianFunction:
     """A memoized map ``GroupType -> ExactValue`` with algebra structure.
 
+    A multiplicative function memoizes its p-part values under their
+    components ``(p, partition)`` and multiplies them for a composite type,
+    which it does not store; any other function, and the trivial group,
+    is memoized per type.
+
     ``by_order``, when given, marks a function whose value depends only on
     |G|: ``by_order(n)`` is its value on every group of order n, and
     :func:`convolve` and :func:`inverse` then sum over subgroup types.
@@ -139,24 +146,30 @@ class AbelianFunction:
     def __call__(self, G: GroupType) -> Fraction:
         if not isinstance(G, GroupType):
             raise TypeError(f"expected a GroupType, got {G!r}")
-        cached = self._memo.get(G)
-        if cached is not None:
-            return cached
-        if self.multiplicative:
-            parts = primary_parts(G)
-            if len(parts) > 1:
-                values = [self(part) for part in parts]
-                # numerator and denominator of the product are at most this long
-                _check_bits(self.name, G, max(
-                    sum(v.numerator.bit_length() for v in values),
-                    sum(v.denominator.bit_length() for v in values),
-                ))
-                value = reduce(operator.mul, values)
-            else:
-                value = Fraction(self._rule(G))
-        else:
-            value = Fraction(self._rule(G))
-        return self._memo.setdefault(G, value)
+        memo = self._memo
+        components = G.components if self.multiplicative else ()
+        if not components:
+            value = memo.get(G)
+            if value is None:
+                value = memo.setdefault(G, Fraction(self._rule(G)))
+            return value
+        # the product of the p-part values, each memoized under its (p, partition)
+        values = []
+        for component in components:
+            value = memo.get(component)
+            if value is None:
+                part = G if len(components) == 1 else _join((component,))
+                value = memo.setdefault(component, Fraction(self._rule(part)))
+            values.append(value)
+        if len(values) == 1:
+            return value
+        numerators = [v.numerator for v in values]
+        denominators = [v.denominator for v in values]
+        # numerator and denominator of the product are at most this long
+        _check_bits(self.name, G, max(
+            sum(map(int.bit_length, numerators)), sum(map(int.bit_length, denominators))
+        ))
+        return Fraction(prod(numerators), prod(denominators))
 
     def at_order(self, n: int) -> int | Fraction:
         """The value on every group of order n, memoized per n; only for a

@@ -3,6 +3,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _classical import divisors, mobius_up_to, totient_up_to
 from finabel.errors import BoundExceededError, NonInvertibleError
@@ -199,6 +201,66 @@ def test_fast_path_matches_rule():
     for f in (mu, phi, subgroup_count, generating_tuples(2)):
         for G in types_up_to(36):
             assert f(G) == f.eval_by_rule(G), (f.name, G)
+
+
+# fresh copies of multiplicative functions, each with an empty p-part memo
+FRESH_MULTIPLICATIVE = {
+    "mu": lambda: AbelianFunction("mu", mu_closed, multiplicative=True),
+    "phi": lambda: convolve(mu, card),
+    "nsub": lambda: convolve(one, one),
+    "gentuples:2": lambda: convolve(mu, card_pow_t(2)),
+    "cardpow:3": lambda: AbelianFunction(
+        "cardpow:3", lambda G: G.order**3, multiplicative=True, by_order=lambda n: n**3
+    ),
+    "inv(card)": lambda: inverse(card),
+    "(mu.card)": lambda: pointwise(mu, card),
+}
+
+
+@st.composite
+def composite_types(draw):
+    """A type with two or three p-parts, each of rank <= 2 and size <= 4."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=2, max_size=3, unique=True))
+    moduli = []
+    for p in primes:
+        exps = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2))
+        moduli += [p**e for e in exps]
+    return canonicalize(moduli)
+
+
+@given(st.lists(composite_types(), min_size=1, max_size=3), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_fast_path_matches_rule_from_a_cold_memo(types, parts_first):
+    # composites evaluated before or after their p-parts fill the memo in
+    # either order; both must agree with the defining rule
+    for name, build in FRESH_MULTIPLICATIVE.items():
+        f = build()
+        assert f.multiplicative and not f._memo, name
+        for G in types:
+            parts = [canonicalize([p**e for e in lam]) for p, lam in G.components]
+            for T in (parts + [G] if parts_first else [G] + parts) + [G]:
+                assert f(T) == f.eval_by_rule(T), (name, T)
+
+
+def test_multiplicative_memo_holds_one_entry_per_p_part():
+    # composite values are products of memoized p-part values, not stored
+    types = list(types_up_to(2000))
+    components = {component for T in types for component in T.components}
+    for f in (convolve(mu, card), convolve(one, one), convolve(mu, card_pow_t(2))):
+        for T in types:
+            f(T)
+        assert len(f._memo) == len(components) + 1  # and the trivial group
+        assert len(f._memo) != len(types)
+
+
+def test_convolution_is_commutative():
+    # G and its dual group have the same type, so the algebra is commutative:
+    # convolve relies on it when it puts a by_order factor second
+    pairs = [(mu, phi), (phi, subgroup_count), (generating_tuples(2), n_t(2))]
+    for f, g in pairs:
+        fg, gf = convolve(f, g), convolve(g, f)
+        for G in types_up_to(64):
+            assert fg(G) == gf(G), (f.name, g.name, G)
 
 
 def test_builtin_registry():

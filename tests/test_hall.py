@@ -50,6 +50,21 @@ def test_hall_route_matches_lattice_route(types):
         assert subgroup_quotient_pairs(T) == _lattice_pairs(T.invariant_factors), T
 
 
+def test_hall_numbers_are_symmetric():
+    # duality: the annihilator of a subgroup of type nu with quotient type mu
+    # has type mu and quotient type nu, so g^lambda_{mu nu} = g^lambda_{nu mu}
+    for p in (2, 3, 5):
+        for n in range(7):
+            for lam, pairs in hall_table(p, n).items():
+                assert pairs == {(mu, nu): g for (nu, mu), g in pairs.items()}, (p, lam)
+
+
+def test_lattice_pairs_are_symmetric():
+    for T in types_up_to(64):
+        pairs = _lattice_pairs(T.invariant_factors)
+        assert pairs == {(qt, ht): m for (ht, qt), m in pairs.items()}, T
+
+
 def test_pairs_combine_over_primes():
     T = canonicalize([2, 2, 2, 2, 30])  # 2-part (1^5), 3 and 5 cyclic
     pairs = subgroup_quotient_pairs(T)
