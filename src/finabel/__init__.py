@@ -17,9 +17,10 @@ The library provides:
 * the interstice/isometry machinery deciding when translations plus
   transpositions generate the full symmetric group;
 * deliberately naive brute-force oracles for cross-validation, in
-  :mod:`finabel.oracle`, which is not imported here: ``from finabel import
-  oracle`` loads it, and with it the one third-party dependency, which
-  nothing else uses.
+  :mod:`finabel.oracle`, and the ``verify`` suites that run them against
+  the closed forms, in :mod:`finabel.verify`.  Neither is imported here:
+  ``from finabel import oracle`` loads the one third-party dependency,
+  which nothing else uses.
 
 The type-level algebra (``grouptype``, ``hall``, ``functions``,
 ``counting``) imports nothing from the element level (``lattice``,

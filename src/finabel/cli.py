@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: eval, table, hom, mono, epi, aut, subcount, profile, conjecture,
-symgen, verify.  Groups are written as comma-separated moduli ("2,2,4");
-transpositions as ">"-separated element pairs joined by ";" ("0,0>1,0;0,0>0,1").
+symgen, verify (its suites live in :mod:`finabel.verify`).  Groups are
+written as comma-separated moduli ("2,2,4"); transpositions as
+">"-separated element pairs joined by ";" ("0,0>1,0;0,0>0,1").
 
 Exit codes: 0 success, 2 usage error (bad arguments, unknown function,
 unparseable group, an order bound below 1), 3 resource bound or domain
@@ -17,25 +18,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
-from fractions import Fraction
-from math import factorial
-from typing import Callable, Sequence
+from collections.abc import Sequence
 
-from . import counting
+from . import counting, verify
 from .errors import BoundExceededError
-from .functions import (
-    builtin_function,
-    inverse,
-    mu_closed,
-    n_t,
-    one,
-)
+from .functions import builtin_function
 from .grouptype import GroupType, parse_group_spec, types_up_to
-from .hall import subgroup_quotient_pairs
-from .lattice import ConcreteGroup, _lattice_pairs, all_subgroups
-from .symgen import Permutation, Transposition, generates_full_symmetric, isometry_group_order
+from .lattice import ConcreteGroup
+from .symgen import Transposition, generates_full_symmetric
 
 __all__ = ["main"]
 
@@ -187,153 +178,10 @@ def _cmd_symgen(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites (oracle sweeps; not part of the stable library API).
-# The suites that need finabel.oracle import it themselves: it is the only
-# module with a third-party dependency, which no other command needs.
-
-
-def _suite_mu(bound: int) -> tuple[int, list[str]]:
-    inverse_route = inverse(one)
-    checked, bad = 0, []
-    for T in types_up_to(bound):
-        checked += 1
-        got = inverse_route(T)
-        want = Fraction(mu_closed(T))
-        if got != want:
-            bad.append(f"mu({T}): inverse route {got} != closed form {want}")
-    return checked, bad
-
-
-def _suite_homs(bound: int) -> tuple[int, list[str]]:
-    from . import oracle
-
-    types = list(types_up_to(bound))
-    checked, bad = 0, []
-    for B in types:  # B outer: only B's element tables are used
-        CB = ConcreteGroup.from_type(B)
-        for A in types:
-            checked += 1
-            hom, mono, epi = oracle.enumerate_homs(ConcreteGroup.from_type(A), CB)
-            want = (
-                counting.hom_count(A, B),
-                counting.mono_count(A, B),
-                counting.epi_count(A, B),
-            )
-            if (hom, mono, epi) != want:
-                bad.append(f"homs({A},{B}): oracle {(hom, mono, epi)} != formulas {want}")
-    return checked, bad
-
-
-def _suite_gensubsets(bound: int) -> tuple[int, list[str]]:
-    from . import oracle
-
-    count_fn = n_t(2)
-    checked, bad = 0, []
-    for T in types_up_to(bound):
-        checked += 1
-        got = oracle.count_generating_subsets(ConcreteGroup.from_type(T))
-        want = count_fn(T)
-        if got != want:
-            bad.append(f"generating subsets of {T}: oracle {got} != nt:2 {want}")
-    return checked, bad
-
-
-def _suite_freefuncs(bound: int) -> tuple[int, list[str]]:
-    from . import oracle
-
-    checked, bad = 0, []
-    for t in range(2, 11):
-        fn = n_t(t)
-        for T in types_up_to(bound):
-            if t**T.order > oracle.FUNCTION_SPACE_BOUND:
-                continue
-            checked += 1
-            got = oracle.count_free_functions(ConcreteGroup.from_type(T), t)
-            want = fn(T)
-            if got != want:
-                bad.append(f"free functions ({T}, t={t}): oracle {got} != nt:{t} {want}")
-    return checked, bad
-
-
-def _suite_isometries(bound: int) -> tuple[int, list[str]]:
-    from . import oracle
-
-    checked, bad = 0, []
-    for T in types_up_to(bound):
-        G = ConcreteGroup.from_type(T)
-        for H in all_subgroups(G):
-            checked += 1
-            got = oracle.enumerate_isometries(G, H)
-            want = isometry_group_order(G.order, H.order)
-            if got != want:
-                bad.append(f"isometries mod order-{H.order} subgroup of {T}: {got} != {want}")
-    return checked, bad
-
-
-def _suite_symgen(bound: int) -> tuple[int, list[str]]:
-    from . import oracle
-
-    checked, bad = 0, []
-    rng = random.Random(20240831)
-    for T in types_up_to(bound):
-        n = T.order
-        if n < 3:
-            continue
-        G = ConcreteGroup.from_type(T)
-        elements = G.elements()
-        pairs = [
-            (x, y) for i, x in enumerate(elements) for y in elements[i + 1 :]
-        ]
-        if n <= 5:
-            tau_sets = [[]]
-            tau_sets += [[p] for p in pairs]
-            tau_sets += [
-                [p, q] for i, p in enumerate(pairs) for q in pairs[i + 1 :]
-            ]
-        else:
-            tau_sets = [
-                [pairs[rng.randrange(len(pairs))], pairs[rng.randrange(len(pairs))]]
-                for _ in range(40)
-            ]
-        translations = [Permutation.translation(G, g) for g in elements[1:]]
-        for tau_set in tau_sets:
-            checked += 1
-            taus = [Transposition(x, y) for x, y in tau_set]
-            perms = [Permutation.transposition(G, x, y) for x, y in tau_set]
-            predicted = generates_full_symmetric(G, taus)
-            closure = oracle.permutation_closure(G, translations + perms)
-            if predicted != (closure == factorial(n)):
-                bad.append(f"symgen mismatch on {T} with {tau_set}")
-    return checked, bad
-
-
-def _suite_pairs(bound: int) -> tuple[int, list[str]]:
-    checked, bad = 0, []
-    for T in types_up_to(bound):
-        checked += 1
-        got = subgroup_quotient_pairs(T)
-        want = _lattice_pairs(T.invariant_factors)
-        if got != want:
-            bad.append(f"pairs({T}): Hall route {got} != lattice route {want}")
-    return checked, bad
-
-
-_SUITES: dict[str, Callable[[int], tuple[int, list[str]]]] = {
-    "mu": _suite_mu,
-    "homs": _suite_homs,
-    "gensubsets": _suite_gensubsets,
-    "freefuncs": _suite_freefuncs,
-    "isometries": _suite_isometries,
-    "symgen": _suite_symgen,
-    "pairs": _suite_pairs,
-}
-
-
 def _cmd_verify(args) -> int:
     if args.bound < 1:
         raise _UsageError("bound must be >= 1")
-    checked, mismatches = _SUITES[args.suite](args.bound)
+    checked, mismatches = verify.run(args.suite, args.bound)
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)
@@ -407,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_symgen)
 
     p = sub.add_parser("verify", help="run an oracle cross-validation sweep")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("suite", choices=sorted(verify.SUITES))
     p.add_argument("bound", type=int)
     p.set_defaults(handler=_cmd_verify)
 

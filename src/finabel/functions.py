@@ -54,10 +54,10 @@ the bit lengths of the p-part values, before it multiplies them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable, Iterable
 
 from .errors import BoundExceededError, NonInvertibleError
 from .grouptype import (

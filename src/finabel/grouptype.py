@@ -30,9 +30,9 @@ True
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError
 

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, Sequence
 
 from .counting import _subgroup_orders, element_order_profile
 from .errors import BoundExceededError

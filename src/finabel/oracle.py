@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Sequence
 
 import numpy as np
 

@@ -18,7 +18,7 @@ Groups of order at most 2 are rejected: the criterion is false there.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .grouptype import _frozen
 from .lattice import (

@@ -198,6 +198,20 @@ def test_commands_without_oracles_do_not_load_numpy():
     assert proc.stdout == "[]\n[]\n"
 
 
+def test_package_import_loads_neither_typing_nor_dataclasses():
+    # -S skips site-packages, whose start-up .pth files may import typing
+    # first; numpy is not importable there, so only the package is imported
+    script = "import sys, finabel; print(sorted({'typing', 'dataclasses'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_symgen_errors(capsys):
     assert main(["symgen", "4", "0-2"]) == 2
     assert main(["symgen", "4", "0>9"]) == 2
@@ -227,13 +241,13 @@ def test_verify_homs_builds_each_element_table_once(capsys):
 
 
 def test_verify_pairs_compares_the_two_routes(capsys, monkeypatch):
-    from finabel import cli
+    from finabel import verify
 
     assert main(["verify", "pairs", "32"]) == 0
     assert capsys.readouterr().out == "pairs: 55 checks, OK\n"
-    real = cli._lattice_pairs
+    real = verify._lattice_pairs
     monkeypatch.setattr(
-        cli, "_lattice_pairs", lambda m: {} if m == (2, 4) else real(m)
+        verify, "_lattice_pairs", lambda m: {} if m == (2, 4) else real(m)
     )
     assert main(["verify", "pairs", "8"]) == 4
     captured = capsys.readouterr()
@@ -289,9 +303,12 @@ def test_profile_refuses_a_square_type(capsys):
 
 
 def test_verify_reports_mismatches(capsys, monkeypatch):
-    from finabel import cli
+    from finabel import verify
 
-    monkeypatch.setitem(cli._SUITES, "homs", lambda bound: (3, ["fabricated"]))
+    def fabricated(bound):
+        yield from (None, "fabricated", None)
+
+    monkeypatch.setitem(verify.SUITES, "homs", fabricated)
     assert main(["verify", "homs", "6"]) == 4
     captured = capsys.readouterr()
     assert "fabricated" in captured.err
