@@ -54,7 +54,15 @@ ISOMETRY_MAX_ORDER = 7
 
 
 def count_generating_subsets(G: ConcreteGroup) -> int:
-    """Sweep all 2^|G| subsets and count those whose closure is all of G."""
+    """Sweep all 2^|G| subsets and count those whose closure is all of G.
+
+    A subset with top element t generates the closure under t of the
+    subgroup that the subset without t generates.  So the subsets whose top
+    element is t, the subsets below 2^t with t added, take their subgroups
+    from those below 2^t by one closure step (``lattice._close_mask``) per
+    subgroup met so far, at most s(G) |G| steps in all.  Every subset's
+    subgroup is kept, as a one-byte id into the subgroups met.
+    """
     n = G.order
     if n > GENERATING_SUBSET_MAX_ORDER:
         raise BoundExceededError(
@@ -62,20 +70,22 @@ def count_generating_subsets(G: ConcreteGroup) -> int:
             f" {GENERATING_SUBSET_MAX_ORDER}"
         )
     ar = G._arith
-    orbits = [_orbit_mask(ar, x) for x in range(n)]
-    full = (1 << n) - 1
-    count = 0
-    for subset in range(1 << n):
-        closed = 1  # the identity
-        todo = subset
-        while todo and closed != full:
-            low = todo & -todo
-            todo ^= low
-            x = low.bit_length() - 1
-            closed = orbits[x] if closed == 1 else _close_mask(ar, closed, x)
-        if closed == full:
-            count += 1
-    return count
+    masks = [1]  # subgroup id -> bitmask; id 0 is the trivial subgroup
+    ids = {1: 0}
+    # closed[s]: id of the subgroup subset s generates, for s < 2^t, one
+    # byte each (no group of order <= 20 has 256 subgroups); every id met
+    # so far stands in it
+    closed = bytearray(1)
+    for t in range(n):
+        step = bytearray(256)  # id -> id of its closure under element t
+        for sid in range(len(masks)):
+            mask = _close_mask(ar, masks[sid], t)
+            if mask not in ids:
+                ids[mask] = len(masks)
+                masks.append(mask)
+            step[sid] = ids[mask]
+        closed += closed.translate(step)
+    return closed.count(ids[(1 << n) - 1])
 
 
 def _minimal_subgroup_generators(G: ConcreteGroup) -> list[int]:

@@ -121,7 +121,19 @@ def _pairs(bound: int) -> Iterator[str | None]:
     for T in types_up_to(bound):
         got = subgroup_quotient_pairs(T)
         want = _lattice_pairs(T.invariant_factors)
-        yield None if got == want else f"pairs({T}): Hall route {got} != lattice route {want}"
+        yield None if got == want else f"pairs({T}): {_pair_differences(got, want)}"
+
+
+def _pair_differences(hall: dict, lattice: dict) -> str:
+    """The (subgroup, quotient) pairs whose counts differ, sorted by their
+    invariant factors: ``H/Q Hall a lattice b; ...``."""
+    keys = sorted(
+        (k for k in {*hall, *lattice} if hall.get(k, 0) != lattice.get(k, 0)),
+        key=lambda k: (k[0].invariant_factors, k[1].invariant_factors),
+    )
+    return "; ".join(
+        f"{h}/{q} Hall {hall.get((h, q), 0)} lattice {lattice.get((h, q), 0)}" for h, q in keys
+    )
 
 
 SUITES: dict[str, Callable[[int], Iterator[str | None]]] = {

@@ -251,7 +251,10 @@ def test_verify_pairs_compares_the_two_routes(capsys, monkeypatch):
     )
     assert main(["verify", "pairs", "8"]) == 4
     captured = capsys.readouterr()
-    assert "pairs(2,4): Hall route" in captured.err
+    assert captured.err == (
+        "pairs(2,4): 1/2,4 Hall 1 lattice 0; 2/2,2 Hall 1 lattice 0; 2/4 Hall 2 lattice 0;"
+        " 2,2/2 Hall 1 lattice 0; 2,4/1 Hall 1 lattice 0; 4/2 Hall 2 lattice 0\n"
+    )
     assert captured.out == "pairs: 11 checks, 1 MISMATCHES\n"
 
 

@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 from finabel.errors import BoundExceededError
 from finabel.grouptype import TRIVIAL_GROUP, canonicalize, cyclic, types_up_to
 from finabel.lattice import (
+    MAX_LATTICE_WORK,
     ConcreteGroup,
     Subgroup,
+    _Arith,
     _arith,
     _lattice,
     _lattice_pairs,
     _orbit_mask,
+    _translate,
     all_subgroups,
     element_order,
     generated_subgroup,
@@ -99,6 +102,36 @@ def test_translation_rows_are_cached_up_to_a_bound():
     assert len(G._arith._rows) == 800
 
 
+def test_shift_translation_matches_rows():
+    # _translate moves a whole mask by shifts; a translation row moves it
+    # element by element.  Every x, on every subgroup mask of the lattice,
+    # the full mask and each single-bit mask
+    moduli = [T.invariant_factors for T in types_up_to(64)]
+    moduli += [(2, 3), (4, 6, 2), (6, 10, 15), (6, 4), (3, 2, 2)]
+    for ms in moduli:
+        ar = _arith(ms)
+        sets = [idxs for idxs, _ in _lattice(ms)]
+        sets += [range(ar.n)] + [(i,) for i in range(ar.n)]
+        masks = [sum(1 << i for i in idxs) for idxs in sets]
+        for x in range(ar.n):
+            moved_bit = [1 << j for j in ar.row(x)]  # bit i moved by x
+            shifts = ar.shifts(x)
+            for idxs, mask in zip(sets, masks):
+                moved = sum(map(moved_bit.__getitem__, idxs))
+                assert _translate(mask, shifts) == moved, (ms, x, idxs)
+
+
+def test_translation_masks_are_cached_up_to_a_bound():
+    # Z_5000: one mask of 5000 bits per digit; 800 of them fill
+    # MAX_LATTICE_WORK = 4e6 bits, and later ones are built uncached
+    ar = _Arith((5000,))
+    for _ in range(2):
+        for x in range(5000):
+            assert _translate(1, ar.shifts(x)) == 1 << x
+            assert _translate(1 << 4999, ar.shifts(x)) == 1 << (x - 1) % 5000
+    assert len(ar._moves[0]) == 800 == MAX_LATTICE_WORK // 5000
+
+
 def test_generated_subgroup_examples():
     Z4 = ConcreteGroup((4,))
     assert generated_subgroup(Z4, [(2,)]).elements == ((0,), (2,))
@@ -175,6 +208,16 @@ def test_lattice_enumeration_order_is_pinned():
     assert (
         hashlib.sha256(text.encode()).hexdigest()
         == "01e7e01bc1743fbb5815cb8569402505b1fb22dbdc84148051f633ed4b351940"
+    )
+
+
+def test_lattice_of_every_type_up_to_64_is_pinned():
+    # element and generator indices of every lattice of order <= 64, as the
+    # breadth-first search found them with translation rows
+    text = "".join(repr(_lattice(T.invariant_factors)) for T in types_up_to(64))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "05bf708a03ca693cf0d423087f879b6188577411b20439e03925d6014b70f1cf"
     )
 
 

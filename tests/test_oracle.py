@@ -36,6 +36,31 @@ def test_count_generating_subsets_matches_formula():
         assert count_generating_subsets(G) == n_t(2)(T), T
 
 
+def test_count_generating_subsets_matches_saturation():
+    # each subset saturated on its own under tuple addition
+    def naive(G):
+        elements = G.elements()
+        add = {(a, b): G.add(a, b) for a in elements for b in elements}
+        count = 0
+        for r in range(len(elements) + 1):
+            for subset in itertools.combinations(elements, r):
+                reached, frontier = {G.zero}, [G.zero]
+                while frontier:
+                    a = frontier.pop()
+                    for g in subset:
+                        b = add[a, g]
+                        if b not in reached:
+                            reached.add(b)
+                            frontier.append(b)
+                count += len(reached) == len(elements)
+        return count
+
+    moduli = [T.invariant_factors for T in types_up_to(10)] + [(2, 3), (3, 2, 2)]
+    for ms in moduli:
+        G = ConcreteGroup(ms)
+        assert count_generating_subsets(G) == naive(G), ms
+
+
 def test_count_free_functions_examples():
     assert count_free_functions(ConcreteGroup((2,)), 2) == 2
     assert count_free_functions(ConcreteGroup((3,)), 2) == 6

@@ -87,9 +87,7 @@ MISMATCHES = {
     ),
     "pairs": (
         "4", SUITE_MODULE, "_lattice_pairs", _break_pairs,
-        "pairs(2): Hall route {(GroupType(invariant_factors=()),"
-        " GroupType(invariant_factors=(2,))): 1, (GroupType(invariant_factors=(2,)),"
-        " GroupType(invariant_factors=())): 1} != lattice route {}",
+        "pairs(2): 1/2 Hall 1 lattice 0; 2/1 Hall 1 lattice 0",
         "pairs: 5 checks, 1 MISMATCHES",
     ),
 }
