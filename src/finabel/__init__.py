@@ -2,7 +2,8 @@
 
 The library provides:
 
-* canonical group types (invariant factors) and primary decompositions;
+* canonical group types (invariant factors) and their primary
+  decompositions, one partition per prime (``GroupType.components``);
 * explicit small groups with full subgroup-lattice enumeration and
   Smith-normal-form type computations;
 * the convolution algebra of abelian functions (unit delta, Moebius
@@ -44,16 +45,13 @@ convolution sum and the sub-partitions of the subgroup-order profile
 from .errors import BoundExceededError, NonInvertibleError
 from .grouptype import (
     GroupType,
-    PrimaryDecomposition,
     TRIVIAL_GROUP,
     canonicalize,
     cyclic,
     dim_p,
-    from_primary,
     is_elementary,
     min_generators,
     parse_group_spec,
-    primary,
     primary_parts,
     product,
     types_of_order,

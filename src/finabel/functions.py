@@ -451,20 +451,16 @@ class ArithmeticFunction:
     """A function on positive integers, the cyclic shadow of an abelian
     function (Dirichlet convolution corresponds to * there)."""
 
-    __slots__ = ("name", "_rule", "_memo")
+    __slots__ = ("name", "_rule")
 
     def __init__(self, name: str, rule: Callable[[int], int | Fraction]):
         self.name = name
         self._rule = rule
-        self._memo: dict[int, Fraction] = {}
 
     def __call__(self, n: int) -> Fraction:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"expected a positive integer, got {n!r}")
-        cached = self._memo.get(n)
-        if cached is None:
-            cached = self._memo.setdefault(n, Fraction(self._rule(n)))
-        return cached
+        return Fraction(self._rule(n))
 
     def __repr__(self) -> str:
         return f"<ArithmeticFunction {self.name}>"

@@ -38,14 +38,11 @@ from .errors import BoundExceededError
 
 __all__ = [
     "GroupType",
-    "PrimaryDecomposition",
     "MAX_TRIAL_DIVISOR",
     "TRIVIAL_GROUP",
     "canonicalize",
     "cyclic",
     "product",
-    "primary",
-    "from_primary",
     "primary_parts",
     "is_elementary",
     "dim_p",
@@ -275,57 +272,6 @@ def product(a: GroupType, b: GroupType) -> GroupType:
     return GroupType(tuple(d for d in chain if d > 1))
 
 
-class PrimaryDecomposition:
-    """Per-prime exponent partitions of the p-Sylow components.
-
-    ``components`` pairs each prime p with the partition of exponents
-    (descending) of its cyclic p-power factors.  Every partition is nonempty.
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: tuple[tuple[int, tuple[int, ...]], ...]) -> None:
-        object.__setattr__(self, "components", components)
-
-    __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash((self.components,))
-
-    def __repr__(self) -> str:
-        return f"PrimaryDecomposition(components={self.components!r})"
-
-    def __reduce__(self) -> tuple:
-        return PrimaryDecomposition, (self.components,)
-
-    def as_dict(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.components)
-
-
-def primary(G: GroupType) -> PrimaryDecomposition:
-    """Split a type into its p-parts, ``G.components``.
-
-    >>> primary(canonicalize([2, 12])).as_dict()
-    {2: (2, 1), 3: (1,)}
-    """
-    return PrimaryDecomposition(G.components)
-
-
-def from_primary(pd: PrimaryDecomposition) -> GroupType:
-    """Inverse of :func:`primary`; round-trips exactly.  Raises ValueError
-    when the primes are not distinct and ascending or a partition is not
-    descending."""
-    primes = [p for p, _ in pd.components]
-    if not all(map(is_prime, primes)) or any(p >= q for p, q in itertools.pairwise(primes)):
-        raise ValueError(f"{primes} are not distinct primes in ascending order")
-    return _join(pd.components)
-
-
 def primary_parts(G: GroupType) -> tuple[GroupType, ...]:
     """The p-group types whose product is ``G``, one per prime, ascending."""
     return tuple(_join([component]) for component in G.components)
@@ -377,7 +323,7 @@ def types_of_order(n: int) -> list[GroupType]:
     per_prime = [
         [(p, lam) for lam in _partitions(e)] for p, e in factorize(n).items()
     ]
-    # the primes come from factorize, so _join skips from_primary's prime test
+    # the primes come from factorize, so _join needs no prime test
     types = [_join(combo) for combo in itertools.product(*per_prime)]
     types.sort(key=lambda t: t.invariant_factors)
     return types

@@ -685,10 +685,20 @@ def _indices_type(ar: _Arith, idxs: Iterable[int]) -> GroupType:
         raise AssertionError(f"internal error: {exc}") from exc
 
 
+def _member_indices(H: Subgroup) -> list[int]:
+    """Indices of ``H.elements`` in the parent's element list, ascending;
+    ValueError names the first element outside the parent."""
+    index = H.parent._arith.index
+    try:
+        return [index[g] for g in H.elements]
+    except KeyError as exc:
+        missing = exc.args[0]
+    raise ValueError(f"{missing!r} is not an element of Z_{H.parent.moduli}")
+
+
 def subgroup_type(H: Subgroup) -> GroupType:
     """Abstract type of ``H``, reconstructed from its element-order profile."""
-    ar = H.parent._arith
-    return _indices_type(ar, (ar.index[g] for g in H.elements))
+    return _indices_type(H.parent._arith, _member_indices(H))
 
 
 def subgroup_type_via_snf(H: Subgroup) -> GroupType:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BoundExceededError
 from .grouptype import is_prime
-from .lattice import ConcreteGroup, Subgroup, _close_mask, _orbit_mask
+from .lattice import ConcreteGroup, Subgroup, _close_mask, _member_indices, _orbit_mask
 from .symgen import Permutation
 
 __all__ = [
@@ -167,7 +167,7 @@ def count_functions_with_stabilizer(G: ConcreteGroup, H: Subgroup, t: int) -> in
         raise BoundExceededError(
             f"t^|G| = {t}^{n} exceeds the function-space bound {FUNCTION_SPACE_BOUND}"
         )
-    members = sorted(G.index_of(g) for g in H.elements)
+    members = _member_indices(H)
     member_set = set(members)
     coset_of = [-1] * n
     reps = []
@@ -273,7 +273,7 @@ def enumerate_isometries(G: ConcreteGroup, H: Subgroup) -> int:
     ar = G._arith
     neg = ar.neg
     sub = [ar.row(neg[j]) for j in range(n)]  # sub[j][i] = e_i - e_j
-    members = frozenset(ar.index[g] for g in H.elements)
+    members = frozenset(_member_indices(H))
     count = 0
     for perm in itertools.permutations(range(n)):
         ok = True

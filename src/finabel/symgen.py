@@ -24,6 +24,7 @@ from .grouptype import _frozen
 from .lattice import (
     ConcreteGroup,
     Subgroup,
+    _member_indices,
     _relations,
     generated_subgroup,
     smith_normal_form,
@@ -195,12 +196,10 @@ def is_isometry_mod_H(G: ConcreteGroup, H: Subgroup, sigma: Permutation) -> bool
     all differences sigma(x) - x fall in a single coset of H."""
     if H.parent != G or sigma.group != G:
         raise ValueError("group, subgroup and permutation must match")
+    members = frozenset(_member_indices(H))
     diffs = _difference_indices(G, sigma)
     ar = G._arith
-    members = frozenset(ar.index[g] for g in H.elements)
-    ref = diffs[0]
-    neg_ref = ar.neg[ref]
-    row = ar.row(neg_ref)
+    row = ar.row(ar.neg[diffs[0]])  # d -> d - diffs[0]
     return all(row[d] in members for d in diffs)
 
 
@@ -215,10 +214,8 @@ def isometry_constant(
     if not is_isometry_mod_H(G, H, sigma):
         raise ValueError("permutation is not an isometry modulo the subgroup")
     ar = G._arith
-    d = _difference_indices(G, sigma)[0]
-    row = ar.row(d)
-    coset = [row[ar.index[g]] for g in H.elements]
-    return ar.elements[min(coset)]
+    row = ar.row(_difference_indices(G, sigma)[0])
+    return ar.elements[min(row[i] for i in _member_indices(H))]
 
 
 def isometry_group_order(g: int, h: int) -> int:

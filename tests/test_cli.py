@@ -4,11 +4,13 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 from fractions import Fraction
 from math import prod
 
 import pytest
 
+import finabel
 from finabel.cli import main
 from finabel.counting import gaussian_subspace_count
 
@@ -210,6 +212,34 @@ def test_package_import_loads_neither_typing_nor_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_public_names_are_pinned():
+    # a name joins or leaves ``import finabel`` only on purpose
+    public = sorted(
+        name
+        for name, value in vars(finabel).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "AbelianFunction", "ArithmeticFunction", "BoundExceededError", "ConcreteGroup",
+        "ExactValue", "GroupType", "IntMatrix", "NonInvertibleError", "OrderProfile",
+        "Permutation", "Subgroup", "TRIVIAL_GROUP", "Transposition", "add",
+        "all_subgroups", "aut_count", "binom_card", "builtin_function", "canonicalize",
+        "card", "card_pow_t", "check_multiplicative", "conjecture_search", "convolve",
+        "cycle_transposition_generates", "cyclic", "delta", "dim_p", "element_order",
+        "element_order_profile", "epi_count", "gaussian_subspace_count",
+        "generated_subgroup", "generates_full_symmetric", "generating_subsets_of_size",
+        "generating_tuples", "hom_count", "interstice_subgroup", "inverse",
+        "is_elementary", "is_isometry_mod_H", "isometry_constant",
+        "isometry_group_order", "isomorphic_by_element_orders", "min_generators",
+        "mono_count", "mu", "mu_closed", "n_t", "one", "parse_group_spec", "phi",
+        "pointwise", "primary_parts", "product", "quotient_type", "restrict_to_cyclic",
+        "scale", "smith_normal_form", "sub_count", "subgroup_count",
+        "subgroup_order_profile", "subgroup_quotient_pairs", "subgroup_type",
+        "subgroup_type_via_snf", "t_pow_card", "type_from_order_statistics",
+        "types_of_order", "types_up_to", "yoneda_numeric_check",
+    ]
 
 
 def test_symgen_errors(capsys):

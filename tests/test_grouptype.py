@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from finabel.grouptype import (
     GroupType,
-    PrimaryDecomposition,
     TRIVIAL_GROUP,
+    _join,
     canonicalize,
     cyclic,
     dim_p,
-    from_primary,
     is_elementary,
     min_generators,
     parse_group_spec,
-    primary,
     primary_parts,
     product,
     types_of_order,
@@ -95,7 +93,7 @@ ROUND_TRIPS = {
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
 def test_value_types_round_trip(round_trip, monkeypatch):
     joined = canonicalize([6, 4])  # built by _join, so it carries its components
-    for value in (joined, GroupType((2, 12)), TRIVIAL_GROUP, primary(joined)):
+    for value in (joined, GroupType((2, 12)), TRIVIAL_GROUP):
         back = round_trip(value)
         assert back == value and hash(back) == hash(value)
         assert repr(back) == repr(value)
@@ -108,21 +106,17 @@ def test_value_types_round_trip(round_trip, monkeypatch):
 
 def test_value_types_are_immutable():
     G = canonicalize([6, 4])
-    pd = primary(G)
-    for value, field in ((G, "invariant_factors"), (G, "components"), (pd, "components")):
+    for field in ("invariant_factors", "components"):
         with pytest.raises(AttributeError):
-            setattr(value, field, ())
+            setattr(G, field, ())
         with pytest.raises(AttributeError):
-            delattr(value, field)
-    assert G.invariant_factors == (2, 12) and pd.components == G.components
+            delattr(G, field)
+    assert G.invariant_factors == (2, 12) and G.components == ((2, (2, 1)), (3, (1,)))
 
 
 def test_value_types_repr_and_equality():
     assert repr(canonicalize([6, 4])) == "GroupType(invariant_factors=(2, 12))"
-    assert repr(primary(cyclic(12))) == "PrimaryDecomposition(components=((2, (2,)), (3, (1,))))"
     assert GroupType((2,)) != (2,)
-    assert PrimaryDecomposition(((2, (1,)),)) != ((2, (1,)),)
-    assert PrimaryDecomposition(((2, (1,)),)) != GroupType((2,))
     assert hash(GroupType((2, 12))) == hash(((2, 12),))  # order of hashed sets stays as it was
 
 
@@ -152,30 +146,28 @@ def test_product_and_primary_round_trips(ms, ns):
     T = canonicalize(ms + ns)
     assert product(canonicalize(ms), canonicalize(ns)) == T
     assert reduce(product, primary_parts(T), TRIVIAL_GROUP) == T
-    assert from_primary(primary(T)) == T
+    assert _join(T.components) == T
 
 
-def test_from_primary_rejects_malformed_decompositions():
-    # the builder relies on GroupType validation, which raises under -O too
+def test_join_rejects_non_descending_partitions():
+    # _join relies on GroupType validation, which raises under -O too
     with pytest.raises(ValueError):
-        from_primary(PrimaryDecomposition(((2, (1, 2)),)))
-    for primes in ((2, 2), (3, 2), (2, 6)):
-        with pytest.raises(ValueError):
-            from_primary(PrimaryDecomposition(tuple((p, (1,)) for p in primes)))
+        _join([(2, (1, 2))])
 
 
 def test_primary_examples():
-    assert primary(canonicalize([2, 12])).as_dict() == {2: (2, 1), 3: (1,)}
-    assert primary(TRIVIAL_GROUP).as_dict() == {}
-    assert primary(canonicalize([2, 2])).as_dict() == {2: (1, 1)}
+    assert dict(canonicalize([2, 12]).components) == {2: (2, 1), 3: (1,)}
+    assert dict(TRIVIAL_GROUP.components) == {}
+    assert dict(canonicalize([2, 2]).components) == {2: (1, 1)}
 
 
 def test_primary_roundtrip_up_to_10000():
     for n in range(1, 10001):
         for T in types_of_order(n):
-            assert from_primary(primary(T)) == T
+            factorized = GroupType(T.invariant_factors).components
+            assert _join(factorized) == T
             # partitions carried from _join against partitions factorized
-            assert GroupType(T.invariant_factors).components == T.components
+            assert factorized == T.components
 
 
 def test_primary_parts():

@@ -7,7 +7,13 @@ from finabel import oracle
 from finabel.errors import BoundExceededError
 from finabel.functions import n_t
 from finabel.grouptype import canonicalize, is_prime, types_up_to
-from finabel.lattice import ConcreteGroup, all_subgroups, generated_subgroup
+from finabel.lattice import (
+    ConcreteGroup,
+    Subgroup,
+    all_subgroups,
+    generated_subgroup,
+    subgroup_type,
+)
 from finabel.counting import epi_count, hom_count, mono_count
 from finabel.oracle import (
     count_free_functions,
@@ -17,7 +23,12 @@ from finabel.oracle import (
     enumerate_isometries,
     permutation_closure,
 )
-from finabel.symgen import Permutation, isometry_group_order
+from finabel.symgen import (
+    Permutation,
+    is_isometry_mod_H,
+    isometry_constant,
+    isometry_group_order,
+)
 
 Z4 = ConcreteGroup((4,))
 
@@ -225,3 +236,19 @@ def test_enumerate_isometries_matches_formula():
         G = ConcreteGroup.from_type(T)
         for H in all_subgroups(G):
             assert enumerate_isometries(G, H) == isometry_group_order(G.order, H.order)
+
+
+def test_an_element_outside_the_parent_is_named():
+    # Subgroup checks no element when built; each reader of its elements does
+    H = Subgroup(Z4, [(0,), (5,)])
+    identity = Permutation.identity(Z4)
+    readers = [
+        lambda: subgroup_type(H),
+        lambda: is_isometry_mod_H(Z4, H, identity),
+        lambda: isometry_constant(Z4, H, identity),
+        lambda: enumerate_isometries(Z4, H),
+        lambda: count_functions_with_stabilizer(Z4, H, 2),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match=r"^\(5,\) is not an element of Z_\(4,\)$"):
+            read()
