@@ -24,12 +24,14 @@ reconstruction from the element-order profile (checked against the closed
 form :func:`finabel.counting.element_order_profile`), and a
 Smith-normal-form computation on generator matrices; tests cross-check
 them.  The Smith route embeds G in (Z_n)^k, n the exponent of G, and
-reads H's invariant factors off one Smith form of the generators' image;
-:func:`quotient_type` takes G/H's from the Smith form of
-``[diag(m) | generator columns]``, whose cokernel is G/H.  Neither tracks
-row or column operations: the reduction eliminates rows and columns down to
-a diagonal, then turns its nonzero entries into a divisibility chain by
-replacing each pair (d_i, d_j), i < j, with (gcd, lcm)
+reads H's invariant factors off one Smith form of the generators' image,
+one row per generator; :func:`quotient_type` takes G/H's from the Smith
+form of ``[diag(m) | generator columns]``, whose cokernel is G/H.  Both
+routes check each generator against the moduli first, so a tuple outside G
+raises ValueError.  Neither tracks row or column operations: the reduction
+eliminates rows and columns down to a diagonal, then turns its nonzero
+entries into a divisibility chain by replacing each pair (d_i, d_j), i < j,
+with (gcd, lcm)
 (:func:`finabel.grouptype._normalize`): diag(a, b) is equivalent to
 diag(gcd(a, b), lcm(a, b)), and the Smith form is unique.
 
@@ -56,6 +58,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mod, mul
 
 from .counting import _subgroup_orders, element_order_profile
 from .errors import BoundExceededError
@@ -131,8 +134,9 @@ class _Arith:
     Elements are indexed 0..n-1 in lexicographic tuple order, so index 0 is
     the identity and the index of (d_1, ..., d_k) is the sum of d_c times
     the stride of coordinate c, the product of the moduli after it.
-    Addition rows and translation masks are built lazily and each cached up
-    to a fixed total size.
+    Addition rows, translation masks and shift lists, and the masks of
+    cyclic subgroups are built lazily and each cached up to a fixed total
+    size.
     """
 
     def __init__(self, moduli: tuple[int, ...]):
@@ -159,6 +163,8 @@ class _Arith:
         # _moves[c][d]: the entry of shifts() for digit d in coordinate c
         self._moves: list[dict[int, tuple[int, int, int]]] = [{} for _ in moduli]
         self._cached_moves = 0
+        self._shifts: dict[int, list[tuple[int, int, int]]] = {}  # x -> shifts(x)
+        self._orbits: dict[int, int] = {}  # x -> _orbit_mask(self, x)
 
     def row(self, x: int) -> list[int]:
         """Translation row: ``row(x)[i]`` is the index of ``e_i + e_x``.
@@ -179,8 +185,14 @@ class _Arith:
         modulus m.  Index i moves up by ``up = d*s`` when its digit is below
         m - d, the bits of ``low``, and down by ``down = (m - d)*s``
         otherwise.  The ``low`` masks are built on demand and cached while
-        the cache holds at most ``MAX_LATTICE_WORK`` bits."""
+        the cache holds at most ``MAX_LATTICE_WORK`` bits.  The list itself
+        is cached too, when it holds only cached masks, up to
+        ``MAX_LATTICE_WORK // n`` lists."""
+        out = self._shifts.get(x)
+        if out is not None:
+            return out
         out = []
+        kept = True  # every mask of out is in _moves
         for c, d in enumerate(self.elements[x]):
             if d:
                 move = self._moves[c].get(d)
@@ -192,7 +204,11 @@ class _Arith:
                     if (self._cached_moves + 1) * self.n <= MAX_LATTICE_WORK:
                         self._cached_moves += 1
                         self._moves[c][d] = move
+                    else:
+                        kept = False
                 out.append(move)
+        if kept and (len(self._shifts) + 1) * self.n <= MAX_LATTICE_WORK:
+            self._shifts[x] = out
         return out
 
 
@@ -374,9 +390,21 @@ def _translate(mask: int, shifts: list[tuple[int, int, int]]) -> int:
 
 
 def _orbit_mask(ar: _Arith, x: int) -> int:
-    """Bitmask of the cyclic subgroup generated by element ``x``: column c
-    holds the index contributions of coordinate c of 0, x, 2x, ..., one
-    period repeated up to the order of x."""
+    """Bitmask of the cyclic subgroup generated by element ``x``, cached on
+    ``ar`` while the cache holds at most ``MAX_LATTICE_WORK`` bits (one
+    mask of |G| bits per element); past that it is built afresh."""
+    mask = ar._orbits.get(x)
+    if mask is None:
+        mask = _cyclic_mask(ar, x)
+        if (len(ar._orbits) + 1) * ar.n <= MAX_LATTICE_WORK:
+            ar._orbits[x] = mask
+    return mask
+
+
+def _cyclic_mask(ar: _Arith, x: int) -> int:
+    """The mask of :func:`_orbit_mask`, built: column c holds the index
+    contributions of coordinate c of 0, x, 2x, ..., one period repeated up
+    to the order of x."""
     order = ar.orders[x]
     columns = []
     for m, s, c in zip(ar.moduli, ar.strides, ar.elements[x]):
@@ -429,7 +457,7 @@ def _lattice(moduli: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
     ar = _arith(moduli)
     full = (1 << ar.n) - 1
     neg = ar.neg
-    shifts_of: dict[int, list[tuple[int, int, int]]] = {}  # x -> ar.shifts(x)
+    cached_shifts = ar._shifts  # read directly: a method call per coset costs more
     found: dict[int, tuple[int, ...]] = {1: ()}
     queue = [1]
     head = 0
@@ -445,9 +473,7 @@ def _lattice(moduli: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
                 todo ^= low
                 closed = _orbit_mask(ar, x)
             else:
-                shifts = shifts_of.get(x)
-                if shifts is None:
-                    shifts = shifts_of[x] = ar.shifts(x)
+                shifts = cached_shifts.get(x) or ar.shifts(x)
                 coset = _translate(mask, shifts)
                 todo ^= coset
                 closed = _close_cosets(mask, shifts, neg[x], coset)
@@ -595,25 +621,41 @@ def _cokernel_type(M: list[list[int]], expected_order: int) -> GroupType:
     return result
 
 
+def _require_elements(G: ConcreteGroup, gens: Sequence[tuple[int, ...]]) -> None:
+    """Raise the ValueError of :func:`_member_indices` for the first of
+    ``gens`` that is not an element of ``G``: a tuple of the wrong length,
+    or with a coordinate outside [0, m_i), which reducing mod m_i moves."""
+    moduli = G.moduli
+    k = len(moduli)
+    for g in gens:
+        if len(g) != k or tuple(map(mod, g, moduli)) != g:
+            G._require(g)
+
+
 def _relations(moduli: Sequence[int], gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """``[diag(m_1..m_k) | generator columns]``: its cokernel is the quotient
-    of ``Z_m1 x ... x Z_mk`` by the subgroup the generators span."""
+    of ``Z_m1 x ... x Z_mk`` by the subgroup the generators span.  Each
+    generator must have k coordinates (:func:`_require_elements`)."""
     k = len(moduli)
+    columns = list(zip(*gens)) or [()] * k  # coordinate i of every generator
     rows = []
-    for i, m in enumerate(moduli):
+    for i, (m, column) in enumerate(zip(moduli, columns)):
         row = [0] * k
         row[i] = m
-        row += [g[i] for g in gens]
+        row += column
         rows.append(row)
     return rows
 
 
 def quotient_type(G: ConcreteGroup, H: Subgroup) -> GroupType:
     """Invariant factors of ``G/H`` via the Smith form of
-    ``[diag(m_1..m_k) | generator columns]``; |G/H| must be |G|/|H|."""
+    ``[diag(m_1..m_k) | generator columns]``; |G/H| must be |G|/|H|.
+    Raises ValueError when a generator is not an element of ``G``."""
     if H.parent != G:
         raise ValueError("subgroup does not belong to the given group")
-    M = _relations(G.moduli, H.generators or H.elements)
+    gens = H.generators or H.elements
+    _require_elements(G, gens)
+    M = _relations(G.moduli, gens)
     return _cokernel_type(M, expected_order=G.order // H.order)
 
 
@@ -703,17 +745,20 @@ def subgroup_type(H: Subgroup) -> GroupType:
 
 def subgroup_type_via_snf(H: Subgroup) -> GroupType:
     """Independent route to the abstract type: one Smith reduction of the
-    image of the generators.
+    image of the generators, one row per generator.
 
     With n = lcm(m_i), the exponent of G, x -> (x_i n/m_i) embeds G in
-    (Z_n)^k, where H is the span mod n of the columns of the k x r matrix
-    ``A[i][j] = g_j[i] n/m_i``.  If ``U A V = diag(s_i)`` with U, V
+    (Z_n)^k, where H is the span mod n of the rows of the r x k matrix
+    ``A[j][i] = g_j[i] n/m_i``.  If ``U A V = diag(s_i)`` with U, V
     unimodular, hence invertible mod n, that span is the sum of the
-    Z_{n/gcd(s_i, n)}.  The order of the result must be |H|."""
+    Z_{n/gcd(s_i, n)}.  The order of the result must be |H|.  Raises
+    ValueError when a generator is not an element of the parent."""
     moduli = H.parent.moduli
     n = lcm(*moduli)
     gens = H.generators or H.elements
-    A = [[g[i] * (n // m) for g in gens] for i, m in enumerate(moduli)]
+    _require_elements(H.parent, gens)
+    scale = [n // m for m in moduli]
+    A = [list(map(mul, g, scale)) for g in gens]
     factors = (n // gcd(s, n) for s in reversed(_snf(A)))  # a divisibility chain
     result = GroupType(tuple(f for f in factors if f > 1))
     if result.order != H.order:

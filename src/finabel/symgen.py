@@ -191,16 +191,27 @@ def _difference_indices(G: ConcreteGroup, sigma: Permutation) -> list[int]:
     return out
 
 
-def is_isometry_mod_H(G: ConcreteGroup, H: Subgroup, sigma: Permutation) -> bool:
-    """True iff sigma(x) - sigma(y) = x - y mod H for all x, y; equivalently
-    all differences sigma(x) - x fall in a single coset of H."""
+def _isometry_coset(
+    G: ConcreteGroup, H: Subgroup, sigma: Permutation
+) -> tuple[int, list[int]] | None:
+    """``(index of sigma(e_0) - e_0, indices of H)`` when every difference
+    sigma(x) - x falls in one coset of H, else None."""
     if H.parent != G or sigma.group != G:
         raise ValueError("group, subgroup and permutation must match")
-    members = frozenset(_member_indices(H))
+    members = _member_indices(H)
+    member_set = frozenset(members)
     diffs = _difference_indices(G, sigma)
     ar = G._arith
     row = ar.row(ar.neg[diffs[0]])  # d -> d - diffs[0]
-    return all(row[d] in members for d in diffs)
+    if all(row[d] in member_set for d in diffs):
+        return diffs[0], members
+    return None
+
+
+def is_isometry_mod_H(G: ConcreteGroup, H: Subgroup, sigma: Permutation) -> bool:
+    """True iff sigma(x) - sigma(y) = x - y mod H for all x, y; equivalently
+    all differences sigma(x) - x fall in a single coset of H."""
+    return _isometry_coset(G, H, sigma) is not None
 
 
 def isometry_constant(
@@ -211,11 +222,13 @@ def isometry_constant(
     Raises ValueError when sigma is not an isometry modulo H.  The map
     sigma -> constant is a homomorphism onto G/H.
     """
-    if not is_isometry_mod_H(G, H, sigma):
+    found = _isometry_coset(G, H, sigma)
+    if found is None:
         raise ValueError("permutation is not an isometry modulo the subgroup")
+    first, members = found
     ar = G._arith
-    row = ar.row(_difference_indices(G, sigma)[0])
-    return ar.elements[min(row[i] for i in _member_indices(H))]
+    row = ar.row(first)
+    return ar.elements[min(row[i] for i in members)]
 
 
 def isometry_group_order(g: int, h: int) -> int:

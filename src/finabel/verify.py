@@ -9,6 +9,10 @@ formatted only when its check fails.
 
 The suites that call :mod:`finabel.oracle` import it inside the suite: it
 is the one module that needs numpy, and no other suite or command does.
+The symgen suite closes the translations by G's unit tuples (its k
+canonical generators) with the transpositions: they generate the same
+translation group as all |G| - 1 translations, with k + t generators
+instead of |G| - 1 + t for t transpositions.
 """
 
 from __future__ import annotations
@@ -108,7 +112,10 @@ def _symgen(bound: int) -> Iterator[str | None]:
                 [pairs[rng.randrange(len(pairs))], pairs[rng.randrange(len(pairs))]]
                 for _ in range(40)
             ]
-        translations = [Permutation.translation(G, g) for g in elements[1:]]
+        zero = G.zero  # translations by the unit tuples generate every translation
+        translations = [
+            Permutation.translation(G, zero[:i] + (1,) + zero[i + 1 :]) for i in range(len(zero))
+        ]
         for tau_set in tau_sets:
             taus = [Transposition(x, y) for x, y in tau_set]
             perms = [Permutation.transposition(G, x, y) for x, y in tau_set]

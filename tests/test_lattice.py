@@ -132,6 +132,19 @@ def test_translation_masks_are_cached_up_to_a_bound():
     assert len(ar._moves[0]) == 800 == MAX_LATTICE_WORK // 5000
 
 
+def test_orbit_masks_are_cached_up_to_a_bound():
+    # Z_5000: one mask of 5000 bits per element; 800 of them fill
+    # MAX_LATTICE_WORK = 4e6 bits, and later ones are built uncached.  The
+    # multiples of 5 keep the orders, and so the builds, small; <x> is the
+    # set of multiples of gcd(x, 5000), a repunit in base 2^gcd
+    ar = _Arith((5000,))
+    for _ in range(2):
+        for x in range(0, 5000, 5):
+            g = math.gcd(x, 5000)
+            assert _orbit_mask(ar, x) == ((1 << 5000) - 1) // ((1 << g) - 1), x
+    assert len(ar._orbits) == 800 == MAX_LATTICE_WORK // 5000
+
+
 def test_generated_subgroup_examples():
     Z4 = ConcreteGroup((4,))
     assert generated_subgroup(Z4, [(2,)]).elements == ((0,), (2,))
@@ -302,6 +315,14 @@ def test_smith_invariants(rows):
     for i, s in enumerate(diag, start=1):
         running *= s
         assert running == minor_gcd(rows, i)
+
+
+@given(sparse_rectangular())
+@settings(max_examples=160, deadline=None)
+def test_smith_form_of_the_transpose(rows):
+    # subgroup_type_via_snf reduces one row per generator, the transpose of
+    # the matrix it reduced before: both have the same Smith diagonal
+    assert smith_normal_form(rows) == smith_normal_form([list(c) for c in zip(*rows)])
 
 
 def test_quotient_type_examples():

@@ -12,7 +12,9 @@ from finabel.lattice import (
     Subgroup,
     all_subgroups,
     generated_subgroup,
+    quotient_type,
     subgroup_type,
+    subgroup_type_via_snf,
 )
 from finabel.counting import epi_count, hom_count, mono_count
 from finabel.oracle import (
@@ -25,6 +27,8 @@ from finabel.oracle import (
 )
 from finabel.symgen import (
     Permutation,
+    Transposition,
+    generates_full_symmetric,
     is_isometry_mod_H,
     isometry_constant,
     isometry_group_order,
@@ -152,6 +156,19 @@ def test_enumerate_homs_merges_shared_images():
     assert enumerate_homs(F, F) == (65536, 20160, 20160)
 
 
+def test_verify_homs_builds_each_orbit_mask_once(monkeypatch):
+    # the B-outer sweep reads each cyclic subgroup of B from B's element
+    # tables: at most one build per element of each B, 491 in all
+    from finabel import lattice, verify
+
+    builds = []
+    build = lattice._cyclic_mask
+    monkeypatch.setattr(lattice, "_cyclic_mask", lambda ar, x: builds.append(x) or build(ar, x))
+    lattice._arith.cache_clear()
+    assert verify.run("homs", 24) == (1369, [])
+    assert len(builds) <= sum(T.order for T in types_up_to(24)) == 491
+
+
 def test_enumerate_homs_matches_formulas_small():
     types = list(types_up_to(9))
     for A in types:
@@ -221,6 +238,25 @@ def test_permutation_closure_examples():
     assert permutation_closure(trivial, [Permutation.identity(trivial)]) == 1
 
 
+def test_closure_over_generators_matches_all_translations():
+    # the symgen suite closes the translations by G's unit tuples; with
+    # one transposition (0 y) the closure is Sym(G) exactly when the Smith
+    # criterion says so
+    for T in types_up_to(8):
+        G = ConcreteGroup.from_type(T)
+        zero, elements = G.zero, G.elements()
+        units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(len(zero))]
+        by_units = [Permutation.translation(G, g) for g in units]
+        every = [Permutation.translation(G, g) for g in elements[1:]]
+        assert permutation_closure(G, by_units) == permutation_closure(G, every) == G.order
+        if G.order < 3:
+            continue
+        for y in elements[1:]:
+            swap = Permutation.transposition(G, zero, y)
+            full = permutation_closure(G, by_units + [swap]) == factorial(G.order)
+            assert full == generates_full_symmetric(G, [Transposition(zero, y)]), (T, y)
+
+
 def test_enumerate_isometries_examples():
     H = generated_subgroup(Z4, [(2,)])
     assert enumerate_isometries(Z4, H) == 8
@@ -248,7 +284,14 @@ def test_an_element_outside_the_parent_is_named():
         lambda: isometry_constant(Z4, H, identity),
         lambda: enumerate_isometries(Z4, H),
         lambda: count_functions_with_stabilizer(Z4, H, 2),
+        lambda: subgroup_type_via_snf(H),
+        lambda: quotient_type(Z4, H),
     ]
     for read in readers:
         with pytest.raises(ValueError, match=r"^\(5,\) is not an element of Z_\(4,\)$"):
             read()
+    # the Smith routes read the generators when a subgroup has them
+    H = Subgroup(Z4, [(0,), (2,)], [(6,)])
+    for read in (subgroup_type_via_snf, lambda H: quotient_type(Z4, H)):
+        with pytest.raises(ValueError, match=r"^\(6,\) is not an element of Z_\(4,\)$"):
+            read(H)

@@ -158,6 +158,46 @@ def test_isometry_constant_examples():
         isometry_constant(Z4, H02, Permutation.transposition(Z4, (0,), (1,)))
 
 
+def test_isometry_routes_match_their_definition():
+    # on every subgroup H of Z_2 x Z_4: sigma is an isometry when
+    # (sigma(x) - sigma(y)) - (x - y) is in H for all x, y, and its constant
+    # is the least element of the coset sigma(0) - 0 + H.  Half the
+    # permutations are drawn at random, half built as isometries: sigma(x)
+    # = rho(x) + g, with rho permuting each coset of H within itself
+    G = ConcreteGroup((2, 4))
+    elements = G.elements()
+    rng = random.Random(2024)
+    for H in all_subgroups(G):
+        members = set(H.elements)
+        cosets = {frozenset(G.add(x, h) for h in members) for x in elements}
+        sigmas = []
+        for _ in range(30):
+            images = list(range(G.order))
+            rng.shuffle(images)
+            sigmas.append(Permutation(G, images))
+            rho = {}
+            for coset in cosets:
+                shuffled = sorted(coset)
+                rng.shuffle(shuffled)
+                rho.update(zip(sorted(coset), shuffled))
+            g = rng.choice(elements)
+            sigmas.append(Permutation(G, [G.index_of(G.add(rho[x], g)) for x in elements]))
+        for sigma in sigmas:
+            image = sigma.apply
+            isometry = all(
+                G.sub(G.sub(image(x), image(y)), G.sub(x, y)) in members
+                for x in elements
+                for y in elements
+            )
+            assert is_isometry_mod_H(G, H, sigma) == isometry
+            if isometry:
+                want = min(G.add(image(G.zero), h) for h in members)
+                assert isometry_constant(G, H, sigma) == want
+            else:
+                with pytest.raises(ValueError, match="not an isometry modulo the subgroup"):
+                    isometry_constant(G, H, sigma)
+
+
 def test_isometry_group_order_examples():
     assert isometry_group_order(4, 2) == 8
     assert isometry_group_order(7, 1) == 7
