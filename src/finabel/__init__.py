@@ -35,8 +35,8 @@ Each layer bounds the work it is about to do by a fixed constant and
 refuses more with :class:`BoundExceededError`, naming the bound and the
 predicted work: factorization (``grouptype.MAX_TRIAL_DIVISOR``), element
 tables (``lattice.MAX_ELEMENTS``), lattice enumeration
-(``lattice.MAX_LATTICE_WORK``, which also caps the cached translation
-rows and masks), Hall tables (``hall.MAX_HALL_SIZE``), the terms of every
+(``lattice.MAX_LATTICE_WORK``, which also sets the room of each group's
+mask caches), Hall tables (``hall.MAX_HALL_SIZE``), the terms of every
 convolution sum and the sub-partitions of the subgroup-order profile
 (both ``hall.MAX_PAIRS``), and large values
 (``functions.MAX_VALUE_BITS``).  No bound is a process-wide setting.

@@ -17,7 +17,9 @@ below m_c - d up by d times the stride and the others down by m_c - d
 times it, two shifts of the whole mask per nonzero digit
 (:meth:`_Arith.shifts`).  Translation rows, one index per element, serve
 only the element API (``ConcreteGroup.add_row``) and the oracles that take
-permutations of G.
+permutations of G; they are built afresh on each call.  Only masks are
+cached: the shift masks and lists and the cyclic orbits of one group share
+one budget of ``3 * MAX_LATTICE_WORK // |G|`` masks (:meth:`_Arith._keep`).
 
 Two independent routes compute the abstract type of a subgroup: greedy
 reconstruction from the element-order profile (checked against the closed
@@ -95,7 +97,8 @@ IntMatrix = Sequence[Sequence[int]]
 # s(G) its number of subgroups: each subgroup scans up to |G| elements, and
 # each of the trivial subgroup's |G| closures costs O(|G|).  F_2^7 comes to
 # 3.76e6 (0.8 s), F_2^8 to 1.07e8 (19 s), Z_4096 to 1.7e7 (9 s);
-# times on a 2-CPU Intel Xeon, Python 3.11.
+# times on a 2-CPU Intel Xeon, Python 3.11.  It also sets the room of the
+# mask caches of each group (_Arith._keep): 3 * MAX_LATTICE_WORK bits.
 MAX_LATTICE_WORK = 4_000_000
 
 
@@ -134,9 +137,11 @@ class _Arith:
     Elements are indexed 0..n-1 in lexicographic tuple order, so index 0 is
     the identity and the index of (d_1, ..., d_k) is the sum of d_c times
     the stride of coordinate c, the product of the moduli after it.
-    Addition rows, translation masks and shift lists, and the masks of
-    cyclic subgroups are built lazily and each cached up to a fixed total
-    size.
+    Translation masks and shift lists, and the masks of cyclic subgroups,
+    are built lazily and cached under one budget of ``3 * MAX_LATTICE_WORK
+    // n`` entries, each counted as one mask of n bits: a group that
+    :func:`_lattice` admits has n^2 <= ``MAX_LATTICE_WORK``, so its at most
+    3n masks always fit.  Translation rows are not cached.
     """
 
     def __init__(self, moduli: tuple[int, ...]):
@@ -159,40 +164,40 @@ class _Arith:
         )
         # digit times stride, per coordinate; a translation rotates each one
         self._digits = [[d * s for d in range(m)] for m, s in zip(moduli, self.strides)]
-        self._rows: dict[int, list[int]] = {}
-        # _moves[c][d]: the entry of shifts() for digit d in coordinate c
+        # the mask caches, filled only through _keep; _moves[c][d] is the
+        # entry of shifts() for digit d in coordinate c
         self._moves: list[dict[int, tuple[int, int, int]]] = [{} for _ in moduli]
-        self._cached_moves = 0
         self._shifts: dict[int, list[tuple[int, int, int]]] = {}  # x -> shifts(x)
         self._orbits: dict[int, int] = {}  # x -> _orbit_mask(self, x)
+        # entries the mask caches may still take, each one mask of n bits
+        self._room = 3 * MAX_LATTICE_WORK // self.n
+
+    def _keep(self, cache: dict, key: int, value):
+        """Store ``cache[key] = value`` while the mask caches have room, and
+        return ``value``.  Called on a miss only; the room only shrinks."""
+        if self._room > 0:
+            self._room -= 1
+            cache[key] = value
+        return value
 
     def row(self, x: int) -> list[int]:
         """Translation row: ``row(x)[i]`` is the index of ``e_i + e_x``.
-        Rows are cached while the cache holds at most ``MAX_LATTICE_WORK``
-        entries; past that they are built afresh on each call."""
-        row = self._rows.get(x)
-        if row is None:
-            row = _mixed_radix(
-                digits[c:] + digits[:c] for digits, c in zip(self._digits, self.elements[x])
-            )
-            if (len(self._rows) + 1) * self.n <= MAX_LATTICE_WORK:
-                self._rows[x] = row
-        return row
+        Built afresh on each call, so the caller owns the list."""
+        return _mixed_radix(
+            digits[c:] + digits[:c] for digits, c in zip(self._digits, self.elements[x])
+        )
 
     def shifts(self, x: int) -> list[tuple[int, int, int]]:
         """How :func:`_translate` moves a mask by ``e_x``: one ``(low, up,
         down)`` per nonzero digit d of x in coordinate c, with stride s and
         modulus m.  Index i moves up by ``up = d*s`` when its digit is below
         m - d, the bits of ``low``, and down by ``down = (m - d)*s``
-        otherwise.  The ``low`` masks are built on demand and cached while
-        the cache holds at most ``MAX_LATTICE_WORK`` bits.  The list itself
-        is cached too, when it holds only cached masks, up to
-        ``MAX_LATTICE_WORK // n`` lists."""
+        otherwise.  The ``low`` masks and the list itself are cached
+        through :meth:`_keep`."""
         out = self._shifts.get(x)
         if out is not None:
             return out
         out = []
-        kept = True  # every mask of out is in _moves
         for c, d in enumerate(self.elements[x]):
             if d:
                 move = self._moves[c].get(d)
@@ -200,16 +205,10 @@ class _Arith:
                     m, s = self.moduli[c], self.strides[c]
                     # the low (m - d)*s indices of each block of m*s indices
                     blocks = ((1 << self.n) - 1) // ((1 << m * s) - 1)
-                    move = (((1 << (m - d) * s) - 1) * blocks, d * s, (m - d) * s)
-                    if (self._cached_moves + 1) * self.n <= MAX_LATTICE_WORK:
-                        self._cached_moves += 1
-                        self._moves[c][d] = move
-                    else:
-                        kept = False
+                    low = ((1 << (m - d) * s) - 1) * blocks
+                    move = self._keep(self._moves[c], d, (low, d * s, (m - d) * s))
                 out.append(move)
-        if kept and (len(self._shifts) + 1) * self.n <= MAX_LATTICE_WORK:
-            self._shifts[x] = out
-        return out
+        return self._keep(self._shifts, x, out)
 
 
 # _arith refuses to build the tables of a group with more elements than
@@ -297,11 +296,18 @@ class ConcreteGroup:
         self._require(g)
         return self._arith.index[g]
 
+    def _require_index(self, i: int) -> None:
+        if not 0 <= i < self.order:  # a negative i would wrap
+            raise ValueError(f"index {i!r} is outside range(|G|) = range({self.order})")
+
     def element_at(self, i: int) -> tuple[int, ...]:
+        self._require_index(i)
         return self._arith.elements[i]
 
     def add_row(self, i: int) -> list[int]:
-        """Indices of ``e_j + e_i`` for all j."""
+        """Indices of ``e_j + e_i`` for all j, as a new list on each call:
+        the caller may change it."""
+        self._require_index(i)
         return self._arith.row(i)
 
     def element_orders(self) -> list[int]:
@@ -391,13 +397,10 @@ def _translate(mask: int, shifts: list[tuple[int, int, int]]) -> int:
 
 def _orbit_mask(ar: _Arith, x: int) -> int:
     """Bitmask of the cyclic subgroup generated by element ``x``, cached on
-    ``ar`` while the cache holds at most ``MAX_LATTICE_WORK`` bits (one
-    mask of |G| bits per element); past that it is built afresh."""
+    ``ar`` through :meth:`_Arith._keep`."""
     mask = ar._orbits.get(x)
     if mask is None:
-        mask = _cyclic_mask(ar, x)
-        if (len(ar._orbits) + 1) * ar.n <= MAX_LATTICE_WORK:
-            ar._orbits[x] = mask
+        mask = ar._keep(ar._orbits, x, _cyclic_mask(ar, x))
     return mask
 
 

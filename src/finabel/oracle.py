@@ -180,7 +180,10 @@ def count_functions_with_stabilizer(G: ConcreteGroup, H: Subgroup, t: int) -> in
         reps.append(i)
     # stabilizer membership is constant on cosets: test one g per coset != H
     outside = [g for g in reps if g not in member_set]
-    shifted = {g: [coset_of[G.add_row(g)[r]] for r in reps] for g in outside}
+    shifted = {}
+    for g in outside:
+        row = G.add_row(g)
+        shifted[g] = [coset_of[row[r]] for r in reps]
     count = 0
     for labels in itertools.product(range(t), repeat=len(reps)):
         for g in outside:

@@ -26,6 +26,7 @@ from .lattice import (
     Subgroup,
     _member_indices,
     _relations,
+    _translate,
     generated_subgroup,
     smith_normal_form,
 )
@@ -183,28 +184,25 @@ def cycle_transposition_generates(n: int, i: int, j: int) -> bool:
 
 
 def _difference_indices(G: ConcreteGroup, sigma: Permutation) -> list[int]:
+    """Indices of sigma(x) - x for every x, one pass per coordinate."""
     ar = G._arith
-    neg = ar.neg
-    out = []
-    for i, img in enumerate(sigma.images):
-        out.append(ar.row(neg[i])[img])  # sigma(x) - x
+    out = [0] * ar.n
+    for m, s in zip(ar.moduli, ar.strides):
+        digit = [i // s % m for i in range(ar.n)]
+        out = [o + (digit[j] - d) % m * s for o, d, j in zip(out, digit, sigma.images)]
     return out
 
 
-def _isometry_coset(
-    G: ConcreteGroup, H: Subgroup, sigma: Permutation
-) -> tuple[int, list[int]] | None:
-    """``(index of sigma(e_0) - e_0, indices of H)`` when every difference
-    sigma(x) - x falls in one coset of H, else None."""
+def _isometry_coset(G: ConcreteGroup, H: Subgroup, sigma: Permutation) -> int | None:
+    """The mask of the coset sigma(e_0) - e_0 + H when every difference
+    sigma(x) - x falls in it, else None."""
     if H.parent != G or sigma.group != G:
         raise ValueError("group, subgroup and permutation must match")
-    members = _member_indices(H)
-    member_set = frozenset(members)
     diffs = _difference_indices(G, sigma)
-    ar = G._arith
-    row = ar.row(ar.neg[diffs[0]])  # d -> d - diffs[0]
-    if all(row[d] in member_set for d in diffs):
-        return diffs[0], members
+    members = sum(1 << i for i in _member_indices(H))
+    coset = _translate(members, G._arith.shifts(diffs[0]))
+    if all(coset >> d & 1 for d in diffs):
+        return coset
     return None
 
 
@@ -222,13 +220,10 @@ def isometry_constant(
     Raises ValueError when sigma is not an isometry modulo H.  The map
     sigma -> constant is a homomorphism onto G/H.
     """
-    found = _isometry_coset(G, H, sigma)
-    if found is None:
+    coset = _isometry_coset(G, H, sigma)
+    if coset is None:
         raise ValueError("permutation is not an isometry modulo the subgroup")
-    first, members = found
-    ar = G._arith
-    row = ar.row(first)
-    return ar.elements[min(row[i] for i in members)]
+    return G._arith.elements[(coset & -coset).bit_length() - 1]
 
 
 def isometry_group_order(g: int, h: int) -> int:

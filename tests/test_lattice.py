@@ -34,6 +34,18 @@ from finabel.lattice import (
 )
 
 
+def _run_python(script, *flags):
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def brute_closure(G, gens):
     """Reference closure: saturate under pairwise addition."""
     elems = {G.zero}
@@ -91,15 +103,26 @@ def test_element_tables_are_bounded():
     assert _lattice.cache_info().currsize == 16
 
 
-def test_translation_rows_are_cached_up_to_a_bound():
-    # Z_5000: 800 rows of 5000 entries fill MAX_LATTICE_WORK = 4e6; later
-    # rows are built uncached, and every row is right both times
+def test_translation_rows_are_built_afresh():
+    # no row is cached: every row of Z_5000 is right, and each call returns
+    # a new list, so a caller that changes its row changes no other
     G = ConcreteGroup((5000,))
-    G._arith._rows.clear()
-    for _ in range(2):
-        for x in range(5000):
-            assert G.add_row(x) == list(range(x, 5000)) + list(range(x))
-    assert len(G._arith._rows) == 800
+    for x in range(5000):
+        row = G.add_row(x)
+        assert row == list(range(x, 5000)) + list(range(x))
+        assert G.add_row(x) is not row
+
+
+def test_element_indices_outside_the_group_are_refused():
+    # a negative index would wrap to an element counted from the end
+    G = ConcreteGroup((5,))
+    for i in (-1, -5, 5, 6):
+        for method in (G.element_at, G.add_row):
+            with pytest.raises(ValueError) as refusal:
+                method(i)
+            assert str(refusal.value) == f"index {i} is outside range(|G|) = range(5)"
+    assert G.element_at(4) == (4,)
+    assert G.add_row(4) == [4, 0, 1, 2, 3]
 
 
 def test_shift_translation_matches_rows():
@@ -121,28 +144,56 @@ def test_shift_translation_matches_rows():
                 assert _translate(mask, shifts) == moved, (ms, x, idxs)
 
 
-def test_translation_masks_are_cached_up_to_a_bound():
-    # Z_5000: one mask of 5000 bits per digit; 800 of them fill
-    # MAX_LATTICE_WORK = 4e6 bits, and later ones are built uncached
+def test_mask_caches_share_one_budget():
+    # Z_5000: the shift masks (one of 5000 bits per digit), the shift lists
+    # and the orbit masks (one per element) share room for
+    # 3 * MAX_LATTICE_WORK // 5000 = 2400 masks; later ones are built
+    # uncached, and every translation and orbit is right both times.  The
+    # multiples of 5 keep the orders, and so the orbit builds, small; <x>
+    # is the set of multiples of gcd(x, 5000), a repunit in base 2^gcd
     ar = _Arith((5000,))
     for _ in range(2):
         for x in range(5000):
             assert _translate(1, ar.shifts(x)) == 1 << x
             assert _translate(1 << 4999, ar.shifts(x)) == 1 << (x - 1) % 5000
-    assert len(ar._moves[0]) == 800 == MAX_LATTICE_WORK // 5000
+            if x % 5 == 0:
+                g = math.gcd(x, 5000)
+                assert _orbit_mask(ar, x) == ((1 << 5000) - 1) // ((1 << g) - 1), x
+    kept = [len(ar._moves[0]), len(ar._shifts), len(ar._orbits)]
+    assert sum(kept) == 2400 == 3 * MAX_LATTICE_WORK // 5000
+    assert min(kept) > 0
 
 
-def test_orbit_masks_are_cached_up_to_a_bound():
-    # Z_5000: one mask of 5000 bits per element; 800 of them fill
-    # MAX_LATTICE_WORK = 4e6 bits, and later ones are built uncached.  The
-    # multiples of 5 keep the orders, and so the builds, small; <x> is the
-    # set of multiples of gcd(x, 5000), a repunit in base 2^gcd
-    ar = _Arith((5000,))
-    for _ in range(2):
-        for x in range(0, 5000, 5):
-            g = math.gcd(x, 5000)
-            assert _orbit_mask(ar, x) == ((1 << 5000) - 1) // ((1 << g) - 1), x
-    assert len(ar._orbits) == 800 == MAX_LATTICE_WORK // 5000
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_element_tables_of_four_groups_stay_small():
+    # every translation row, orbit mask and shift list of four groups of
+    # 2,000 elements; rows are not kept and the masks share one budget per
+    # group, so the peak RSS rises by a few MB.  VmHWM, unlike ru_maxrss,
+    # starts afresh at exec and so does not see the parent's peak
+    script = textwrap.dedent(
+        """
+        from finabel.lattice import ConcreteGroup, _orbit_mask
+
+        def peak_kb():
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1])
+
+        base = peak_kb()
+        for moduli in [(40, 50), (20, 100), (10, 10, 20), (2000,)]:
+            G = ConcreteGroup(moduli)
+            ar = G._arith
+            for x in range(G.order):
+                G.add_row(x)
+                _orbit_mask(ar, x)
+                ar.shifts(x)
+        print((peak_kb() - base) / 1024)
+        """
+    )
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 64, f"peak RSS rose by {proc.stdout.strip()} MB"
 
 
 def test_generated_subgroup_examples():
@@ -372,14 +423,7 @@ def test_wrong_generators_raise_under_python_O():
                 print(exc)
         """
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_python(script, "-O")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "image order 4 != expected 2\ncokernel order 2 != expected 4\n"
 

@@ -57,6 +57,9 @@ def test_permutation_basics():
     assert tr.apply((3,)) == (0,)
     assert (tr * tr.inverse()) == ident
     assert Permutation.transposition(Z4, (0,), (2,)).apply((2,)) == (0,)
+    Z5 = ConcreteGroup((5,))
+    Z5.add_row(2)[0] = 99  # the caller's own list: later rows are intact
+    assert Permutation.translation(Z5, (2,)).images == (2, 3, 4, 0, 1)
     with pytest.raises(ValueError):
         Permutation(Z4, (0, 0, 1, 2))
     with pytest.raises(ValueError):
