@@ -144,24 +144,35 @@ def test_shift_translation_matches_rows():
                 assert _translate(mask, shifts) == moved, (ms, x, idxs)
 
 
-def test_mask_caches_share_one_budget():
-    # Z_5000: the shift masks (one of 5000 bits per digit), the shift lists
-    # and the orbit masks (one per element) share room for
-    # 3 * MAX_LATTICE_WORK // 5000 = 2400 masks; later ones are built
-    # uncached, and every translation and orbit is right both times.  The
-    # multiples of 5 keep the orders, and so the orbit builds, small; <x>
-    # is the set of multiples of gcd(x, 5000), a repunit in base 2^gcd
+def test_translation_masks_are_cached_up_to_a_bound():
+    # Z_5000: the shift masks (one of 5000 bits per digit) and the shift
+    # lists share room for 3 * MAX_LATTICE_WORK // 5000 = 2400 masks; later
+    # ones are built uncached, and every translation is right both times
     ar = _Arith((5000,))
     for _ in range(2):
         for x in range(5000):
             assert _translate(1, ar.shifts(x)) == 1 << x
             assert _translate(1 << 4999, ar.shifts(x)) == 1 << (x - 1) % 5000
-            if x % 5 == 0:
-                g = math.gcd(x, 5000)
-                assert _orbit_mask(ar, x) == ((1 << 5000) - 1) // ((1 << g) - 1), x
-    kept = [len(ar._moves[0]), len(ar._shifts), len(ar._orbits)]
+    kept = [len(ar._moves[0]), len(ar._shifts)]
     assert sum(kept) == 2400 == 3 * MAX_LATTICE_WORK // 5000
-    assert min(kept) > 0
+    assert min(kept) > 0 and ar._room == 0
+
+
+def test_orbit_masks_are_cached_up_to_a_bound():
+    # Z_5000: the shift lists of elements 1..800, with their shift masks,
+    # take 1600 of the 2400 masks of room, so 800 orbit masks (one of 5000 bits per element)
+    # are kept and later ones are built uncached.  The multiples of 5 keep
+    # the orders, and so the builds, small; <x> is the set of multiples of
+    # gcd(x, 5000), a repunit in base 2^gcd
+    ar = _Arith((5000,))
+    for x in range(1, 801):
+        ar.shifts(x)
+    assert len(ar._moves[0]) + len(ar._shifts) == 1600
+    for _ in range(2):
+        for x in range(0, 5000, 5):
+            g = math.gcd(x, 5000)
+            assert _orbit_mask(ar, x) == ((1 << 5000) - 1) // ((1 << g) - 1), x
+    assert len(ar._orbits) == 800 == 3 * MAX_LATTICE_WORK // 5000 - 1600
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
