@@ -19,9 +19,8 @@ The library provides:
   transpositions generate the full symmetric group;
 * deliberately naive brute-force oracles for cross-validation, in
   :mod:`finabel.oracle`, and the ``verify`` suites that run them against
-  the closed forms, in :mod:`finabel.verify`.  Neither is imported here:
-  ``from finabel import oracle`` loads the one third-party dependency,
-  which nothing else uses.
+  the closed forms, in :mod:`finabel.verify`.  Neither is imported here,
+  so the commands that use neither do not load them.
 
 The type-level algebra (``grouptype``, ``hall``, ``functions``,
 ``counting``) imports nothing from the element level (``lattice``,
@@ -29,7 +28,8 @@ The type-level algebra (``grouptype``, ``hall``, ``functions``,
 ``hall.subgroup_quotient_pairs``, which ``lattice`` re-exports.
 
 No floating point is used anywhere in the math core: values are Python
-integers and ``fractions.Fraction``.
+integers and ``fractions.Fraction``.  Nothing outside the standard library
+is imported.
 
 Each layer bounds the work it is about to do by a fixed constant and
 refuses more with :class:`BoundExceededError`, naming the bound and the

@@ -489,16 +489,17 @@ def _lattice(moduli: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
 
 
 def generated_subgroup(
-    G: ConcreteGroup, gens: Sequence[tuple[int, ...]]
+    G: ConcreteGroup, gens: Iterable[tuple[int, ...]]
 ) -> Subgroup:
     """Least subgroup containing ``gens`` (the trivial subgroup for none)."""
+    gens = tuple(gens)  # an iterator would be spent by the loop
     ar = G._arith
     mask = 1
     for g in gens:
         G._require(g)
         mask = _close_mask(ar, mask, ar.index[g])
     elements = [ar.elements[i] for i in _mask_indices(mask)]
-    return Subgroup(G, elements, tuple(gens))
+    return Subgroup(G, elements, gens)
 
 
 def all_subgroups(G: ConcreteGroup) -> list[Subgroup]:

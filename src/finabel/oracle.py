@@ -8,7 +8,9 @@ rest of the library: the raw element arithmetic of :class:`ConcreteGroup`
 closing a subgroup under one more element).  The hom oracle uses that kernel
 too: it closes the image subgroup one generator image at a time, counting
 the choices of images that reach each subgroup, and reads injectivity and
-surjectivity off the size of each final image.
+surjectivity off the size of each final image.  The free-function counter
+keeps one bit per function in a Python integer and tests every function
+against one generator per minimal subgroup.
 Neither enters the type-level routes the oracles check (convolution over
 Hall-number pair multisets, closed-form counting), so a fault in those routes
 cannot be repeated here; the closure kernel is checked on its own, against
@@ -24,8 +26,6 @@ import itertools
 from collections import Counter
 from collections.abc import Sequence
 from operator import itemgetter
-
-import numpy as np
 
 from .errors import BoundExceededError
 from .grouptype import is_prime
@@ -107,11 +107,14 @@ def count_free_functions(G: ConcreteGroup, t: int) -> int:
     regular translation action.
 
     Enumerates all t^|G| functions as base-t digit strings, one digit per
-    element, and tests each individually.  The low digits run through one
-    block of at most ``chunk`` functions, built once; each value of the high
-    digits reuses that block with its constant high rows written in.  A
-    nontrivial stabilizer contains an element of prime order, so one
-    generator per minimal subgroup suffices for the triviality test.
+    element, and tests each individually, one bit per function.  The low
+    digits run through one block of at most ``chunk`` functions: for each
+    low element x and value v, a mask marks the functions of the block whose
+    value at x is v.  The high digits are constant across a block, so their
+    masks are all ones or zero.  A function is fixed by g when its masks at
+    x and x + g agree for every x.  A nontrivial stabilizer contains an
+    element of prime order, so one generator per minimal subgroup suffices
+    for the triviality test.
     """
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be an integer >= 1, got {t!r}")
@@ -123,32 +126,41 @@ def count_free_functions(G: ConcreteGroup, t: int) -> int:
     if n == 1:
         return t  # every function on the trivial group is free
     perms = [G.add_row(i) for i in _minimal_subgroup_generators(G)]
-    dtype = np.uint8 if t <= 255 else np.uint16
     chunk = 1 << 19
     low = 0  # digits 0..low-1 vary inside the block, the others across blocks
     while low < n and t ** (low + 1) <= chunk:
         low += 1
     block = t**low
-    digits = np.empty((n, block), dtype=dtype)  # digits[x]: the value at x
-    column = np.arange(block, dtype=np.int64)
+    ones = (1 << block) - 1
+    low_masks = []  # low_masks[x][v]: the functions of the block with value v at x
     for x in range(low):
-        digits[x] = column // t**x % t
-    moved = np.empty(block, dtype=bool)
-    differs = np.empty(block, dtype=bool)
-    free = np.empty(block, dtype=bool)
+        run = t**x  # function j has digit j // run % t at x
+        row = []
+        for v in range(t):
+            pattern, width = ((1 << run) - 1) << (v * run), run * t
+            while width < block:
+                pattern |= pattern << width
+                width *= 2
+            row.append(pattern & ones)
+        low_masks.append(row)
     free_total = 0
     for high in range(t ** (n - low)):
-        for x in range(low, n):
-            digits[x].fill(high % t)
+        masks = low_masks[:]
+        for x in range(low, n):  # a high digit is constant across the block
+            masks.append([ones if v == high % t else 0 for v in range(t)])
             high //= t
-        free.fill(True)
+        fixed = 0
         for perm in perms:
-            np.not_equal(digits[0], digits[perm[0]], out=moved)
-            for x in range(1, n):
-                np.not_equal(digits[x], digits[perm[x]], out=differs)
-                moved |= differs
-            free &= moved
-        free_total += int(np.count_nonzero(free))
+            agree = ones
+            for x in range(n):
+                same = 0
+                for a, b in zip(masks[x], masks[perm[x]]):
+                    same |= a & b
+                agree &= same
+                if not agree:
+                    break
+            fixed |= agree
+        free_total += block - fixed.bit_count()
     return free_total
 
 

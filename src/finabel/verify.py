@@ -7,8 +7,8 @@ per check: ``None`` when the two routes agree, else the mismatch line.
 Each check reads ``yield None if got == want else f"..."``, so a line is
 formatted only when its check fails.
 
-The suites that call :mod:`finabel.oracle` import it inside the suite: it
-is the one module that needs numpy, and no other suite or command does.
+The suites that call :mod:`finabel.oracle` import it inside the suite, so
+the other suites and commands do not pay for loading it.
 The symgen suite closes the translations by G's unit tuples (its k
 canonical generators) with the transpositions: they generate the same
 translation group as all |G| - 1 translations, with k + t generators

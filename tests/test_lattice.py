@@ -220,6 +220,13 @@ def test_generated_subgroup_examples():
         generated_subgroup(Z4, [(7,)])
 
 
+def test_generated_subgroup_keeps_generators_given_as_an_iterator():
+    G = ConcreteGroup((4, 6))
+    H = generated_subgroup(G, (g for g in [(2, 0), (0, 3)]))
+    assert H.order == 4
+    assert H.generators == ((2, 0), (0, 3))
+
+
 @given(
     st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3),
     st.data(),

@@ -103,6 +103,29 @@ def test_count_free_functions_over_several_blocks():
         assert count_free_functions(G, t) == n_t(t)(canonicalize(moduli)), (moduli, t)
 
 
+def test_count_free_functions_matches_a_loop_over_functions():
+    # every function tested against every nonzero translation, both built
+    # from tuple arithmetic alone: no translation rows, no minimal subgroups
+    def naive(G, t):
+        elements = G.elements()
+        index = {g: i for i, g in enumerate(elements)}
+        shifts = [
+            [index[G.add(x, g)] for x in elements] for g in elements if g != G.zero
+        ]
+        return sum(
+            all(any(f[y] != f[x] for x, y in enumerate(s)) for s in shifts)
+            for f in itertools.product(range(t), repeat=len(elements))
+        )
+
+    cases = [
+        (T, t) for T in types_up_to(8) for t in range(1, 7) if t**T.order <= 5000
+    ]
+    assert len(cases) == 48
+    for T, t in cases:
+        G = ConcreteGroup.from_type(T)
+        assert count_free_functions(G, t) == naive(G, t), (T, t)
+
+
 def test_minimal_subgroup_generators_match_the_lattice():
     for T in types_up_to(64):
         G = ConcreteGroup.from_type(T)
