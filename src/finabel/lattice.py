@@ -5,9 +5,14 @@ Subgroups are enumerated by breadth-first search on the lattice: each known
 subgroup is extended by one element outside it (one representative per coset
 suffices, since ``<H, x+h> = <H, x>`` for h in H) and closed, deduplicating
 by element set.  Internally subgroups are bitmasks over the element list.
-The representatives are the lowest elements of the cosets not yet tried;
-each coset is translated once, both to strike it off and to start the
-closure, which is the union of the cosets H + j*x.
+The representatives are the lowest elements of the cosets not yet tried.
+The closure of H by x is the union of the cosets H + j*x for j < J, J the
+order of x modulo H, each translated once from the one before.  The walk
+strikes off H + x and, when J > 2, every H + j*x with gcd(j, J) = 1: each
+generates the same cyclic subgroup of G/H as x, so the same closure.  So
+from H the search walks each nontrivial cyclic subgroup C of G/H once, with
+|C| - 1 translations.  The trivial subgroup takes the same walk (its cosets
+are single bits), with no cached orbit masks.
 
 Index arithmetic (element orders, negation, translation rows, cyclic
 orbits) is built in mixed radix, one coordinate at a time, on plain ints.
@@ -95,9 +100,12 @@ IntMatrix = Sequence[Sequence[int]]
 
 # _lattice refuses a group whose predicted work |G| (|G| + s(G)) passes this,
 # s(G) its number of subgroups: each subgroup scans up to |G| elements, and
-# each of the trivial subgroup's |G| closures costs O(|G|).  F_2^7 comes to
-# 3.76e6 (0.8 s), F_2^8 to 1.07e8 (19 s), Z_4096 to 1.7e7 (9 s);
-# times on a 2-CPU Intel Xeon, Python 3.11.  It also sets the room of the
+# the trivial subgroup's walks translate up to |G| cosets of |G| bits.
+# F_2^7 comes to 3.76e6 (0.4 s) and F_2^8 to 1.07e8 (12 s with the check
+# bypassed).  The prediction was sized for a search that closed every coset,
+# so it overstates groups with long cyclic quotients: Z_4096 comes to
+# |G|^2 = 1.7e7 and is refused, yet its walk takes 0.02 s.  Times on a
+# 2-CPU Intel Xeon, Python 3.11, shared host.  It also sets the room of the
 # mask caches of each group (_Arith._keep): 3 * MAX_LATTICE_WORK bits.
 MAX_LATTICE_WORK = 4_000_000
 
@@ -397,7 +405,9 @@ def _translate(mask: int, shifts: list[tuple[int, int, int]]) -> int:
 
 def _orbit_mask(ar: _Arith, x: int) -> int:
     """Bitmask of the cyclic subgroup generated by element ``x``, cached on
-    ``ar`` through :meth:`_Arith._keep`."""
+    ``ar`` through :meth:`_Arith._keep`.  It serves :func:`_close_mask` and
+    the oracles; :func:`_lattice` walks cosets and does not fill this
+    cache."""
     mask = ar._orbits.get(x)
     if mask is None:
         mask = ar._keep(ar._orbits, x, _cyclic_mask(ar, x))
@@ -455,7 +465,9 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
 def _lattice(moduli: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All subgroups of the product group, as (element indices, generator
     indices), sorted by (order, element index list).  Refuses groups whose
-    predicted work passes ``MAX_LATTICE_WORK``."""
+    predicted work passes ``MAX_LATTICE_WORK``.  One coset walk per cyclic
+    extension (see the module docstring); the orbit masks of
+    :func:`_orbit_mask` are neither read nor filled."""
     _check_lattice_work(moduli)
     ar = _arith(moduli)
     full = (1 << ar.n) - 1
@@ -470,16 +482,23 @@ def _lattice(moduli: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
         gens = found[mask]
         todo = full ^ mask  # elements whose coset of mask is not yet tried
         while todo:
-            low = todo & -todo
-            x = low.bit_length() - 1
-            if mask == 1:  # cosets of the trivial subgroup are singletons
-                todo ^= low
-                closed = _orbit_mask(ar, x)
-            else:
-                shifts = cached_shifts.get(x) or ar.shifts(x)
-                coset = _translate(mask, shifts)
-                todo ^= coset
-                closed = _close_cosets(mask, shifts, neg[x], coset)
+            x = (todo & -todo).bit_length() - 1
+            shifts = cached_shifts.get(x) or ar.shifts(x)
+            coset = _translate(mask, shifts)
+            todo ^= coset
+            closed = mask | coset
+            if not (coset >> neg[x]) & 1:  # J > 2: other cosets may close alike
+                cosets = [coset]
+                while not (coset >> neg[x]) & 1:
+                    coset = _translate(coset, shifts)
+                    closed |= coset
+                    cosets.append(coset)
+                # cosets[j - 1] is mask + j*x; with gcd(j, J) = 1 it
+                # generates the same cyclic subgroup of G/mask as x
+                J = len(cosets) + 1
+                for j in range(2, J):
+                    if gcd(j, J) == 1:
+                        todo &= ~cosets[j - 1]
             if closed not in found:
                 found[closed] = gens + (x,)
                 queue.append(closed)

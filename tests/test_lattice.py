@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finabel import lattice
+from finabel.counting import element_order_profile
 from finabel.errors import BoundExceededError
 from finabel.grouptype import TRIVIAL_GROUP, canonicalize, cyclic, types_up_to
 from finabel.lattice import (
@@ -294,13 +296,52 @@ def test_lattice_enumeration_order_is_pinned():
 
 
 def test_lattice_of_every_type_up_to_64_is_pinned():
-    # element and generator indices of every lattice of order <= 64, as the
-    # breadth-first search found them with translation rows
+    # element and generator indices of every lattice of order <= 64: a
+    # faster coset walk must not move any of them
     text = "".join(repr(_lattice(T.invariant_factors)) for T in types_up_to(64))
     assert (
         hashlib.sha256(text.encode()).hexdigest()
         == "05bf708a03ca693cf0d423087f879b6188577411b20439e03925d6014b70f1cf"
     )
+
+
+def test_lattice_of_every_type_from_65_to_128_is_pinned():
+    # the same pin on every type of order 65..128 and on groups whose
+    # quotients have long cyclic extensions, where the walk skips the most
+    ms = [T.invariant_factors for T in types_up_to(128) if T.order > 64]
+    ms += [(1999,), (1024,), (8, 8, 8), (2, 4, 8, 16), (3, 9, 27)]
+    text = "".join(repr(_lattice(m)) for m in ms)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "4f0a5543b1116bbea5f2e04d0fa94b55a19f9be217cf644fddbf77b42fe2e5cf"
+    )
+
+
+def test_lattice_walks_each_cyclic_subgroup_of_each_quotient_once(monkeypatch):
+    # from H the search walks each nontrivial cyclic subgroup C of G/H once,
+    # translating H by x, then each coset on to the next, |C| - 1 times; G/H
+    # has (elements of order d) / phi(d) cyclic subgroups of order d
+    calls = []
+    translate = lattice._translate
+    monkeypatch.setattr(
+        lattice, "_translate", lambda mask, shifts: calls.append(1) or translate(mask, shifts)
+    )
+    moduli = [T.invariant_factors for T in types_up_to(64)]
+    moduli += [(1999,), (1024,), (8, 8, 8), (3, 9, 27)]
+    for ms in moduli:
+        _lattice.cache_clear()
+        _arith.cache_clear()
+        calls.clear()
+        _lattice(ms)
+        walked = len(calls)
+        G = ConcreteGroup(ms)
+        want = 0
+        for H in all_subgroups(G):
+            for d, count in element_order_profile(quotient_type(G, H)).items():
+                if d > 1:
+                    phi = sum(math.gcd(j, d) == 1 for j in range(d))
+                    want += count // phi * (d - 1)
+        assert walked == want, ms
 
 
 def test_coprime_product_lattice_factorizes():
@@ -484,8 +525,6 @@ def test_type_from_order_statistics():
 
 
 def test_type_from_order_statistics_exhaustive():
-    from finabel.counting import element_order_profile
-
     for T in types_up_to(36):
         assert type_from_order_statistics(element_order_profile(T)) == T
 
