@@ -176,7 +176,7 @@ class _Arith:
         # entry of shifts() for digit d in coordinate c
         self._moves: list[dict[int, tuple[int, int, int]]] = [{} for _ in moduli]
         self._shifts: dict[int, list[tuple[int, int, int]]] = {}  # x -> shifts(x)
-        self._orbits: dict[int, int] = {}  # x -> _orbit_mask(self, x)
+        self._orbits: dict[int, int] = {}  # x -> _cyclic_mask(self, x), for _close_mask
         # entries the mask caches may still take, each one mask of n bits
         self._room = 3 * MAX_LATTICE_WORK // self.n
 
@@ -390,7 +390,7 @@ class Subgroup:
 def element_order(G: ConcreteGroup, g: tuple[int, ...]) -> int:
     """Order of ``g``: lcm over coordinates of ``m_i / gcd(m_i, g_i)``."""
     G._require(g)
-    return lcm(*(m // gcd(m, c) for c, m in zip(g, G.moduli))) if G.moduli else 1
+    return lcm(*(m // gcd(m, c) for c, m in zip(g, G.moduli)))
 
 
 def _translate(mask: int, shifts: list[tuple[int, int, int]]) -> int:
@@ -403,21 +403,11 @@ def _translate(mask: int, shifts: list[tuple[int, int, int]]) -> int:
     return mask
 
 
-def _orbit_mask(ar: _Arith, x: int) -> int:
-    """Bitmask of the cyclic subgroup generated by element ``x``, cached on
-    ``ar`` through :meth:`_Arith._keep`.  It serves :func:`_close_mask` and
-    the oracles; :func:`_lattice` walks cosets and does not fill this
-    cache."""
-    mask = ar._orbits.get(x)
-    if mask is None:
-        mask = ar._keep(ar._orbits, x, _cyclic_mask(ar, x))
-    return mask
-
-
 def _cyclic_mask(ar: _Arith, x: int) -> int:
-    """The mask of :func:`_orbit_mask`, built: column c holds the index
-    contributions of coordinate c of 0, x, 2x, ..., one period repeated up
-    to the order of x."""
+    """The mask of the cyclic subgroup generated by element ``x``, which
+    :func:`_close_mask` caches for the trivial subgroup: column c holds the
+    index contributions of coordinate c of 0, x, 2x, ..., one period
+    repeated up to the order of x."""
     order = ar.orders[x]
     columns = []
     for m, s, c in zip(ar.moduli, ar.strides, ar.elements[x]):
@@ -443,11 +433,14 @@ def _close_cosets(
 
 def _close_mask(ar: _Arith, mask: int, x: int) -> int:
     """Close ``mask`` (a subgroup) under the extra generator ``x``:
-    the union of the cosets mask + j*x."""
+    the union of the cosets mask + j*x.  On the trivial subgroup this is the
+    cyclic subgroup of x, cached on ``ar`` through :meth:`_Arith._keep`; it
+    serves :func:`generated_subgroup` and the oracles."""
     if (mask >> x) & 1:
         return mask
     if mask == 1:
-        return _orbit_mask(ar, x)
+        orbit = ar._orbits.get(x)
+        return orbit if orbit is not None else ar._keep(ar._orbits, x, _cyclic_mask(ar, x))
     shifts = ar.shifts(x)
     return _close_cosets(mask, shifts, ar.neg[x], _translate(mask, shifts))
 
@@ -466,8 +459,8 @@ def _lattice(moduli: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
     """All subgroups of the product group, as (element indices, generator
     indices), sorted by (order, element index list).  Refuses groups whose
     predicted work passes ``MAX_LATTICE_WORK``.  One coset walk per cyclic
-    extension (see the module docstring); the orbit masks of
-    :func:`_orbit_mask` are neither read nor filled."""
+    extension (see the module docstring); the cyclic-subgroup masks that
+    :func:`_close_mask` caches are neither read nor filled."""
     _check_lattice_work(moduli)
     ar = _arith(moduli)
     full = (1 << ar.n) - 1
@@ -687,10 +680,13 @@ def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
 
     Each p-part partition is rebuilt greedily from the counts of elements of
     order p^k, then the candidate's full profile is verified against the
-    input; raises ValueError when no abelian group matches.
+    input; raises ValueError when an order or count is not an integer or no
+    abelian group matches.
     """
-    clean = {int(d): int(c) for d, c in profile.items() if c}
     bad = ValueError(f"profile {dict(profile)!r} matches no abelian group")
+    if not all(isinstance(d, int) and isinstance(c, int) for d, c in profile.items()):
+        raise bad
+    clean = {d: c for d, c in profile.items() if c}
     if any(d < 1 or c < 0 for d, c in clean.items()):
         raise bad
     total = sum(clean.values())
@@ -719,18 +715,15 @@ def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
             while c % p == 0:
                 c //= p
                 e += 1
-            if c != 1:
-                raise bad
             heights.append(e)
+        # a bad profile still gives a partition here; the final check refuses it
         parts_ge = [heights[j] - heights[j - 1] for j in range(1, top + 1)]
-        if any(a < 1 for a in parts_ge) or any(
-            parts_ge[j] > parts_ge[j - 1] for j in range(1, top)
-        ):
-            raise bad
         lam = tuple(sum(1 for a in parts_ge if a > i) for i in range(parts_ge[0]))
         components.append((p, lam))
     candidate = _join(components)  # primes from factorize
-    if element_order_profile(candidate) != clean:
+    # the order test is implied by the profile test, but bounds its work: a
+    # bad profile can rebuild a candidate with far more element orders
+    if candidate.order != total or element_order_profile(candidate) != clean:
         raise bad
     return candidate
 

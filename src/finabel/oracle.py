@@ -3,14 +3,14 @@
 Everything here counts by direct enumeration, deliberately avoiding the
 convolution/Moebius formula code paths.  Two things are shared with the
 rest of the library: the raw element arithmetic of :class:`ConcreteGroup`
-(index tables, element orders) and the lattice's closure kernel
-(``lattice._orbit_mask`` for cyclic subgroups, ``lattice._close_mask`` for
-closing a subgroup under one more element).  The hom oracle uses that kernel
-too: it closes the image subgroup one generator image at a time, counting
-the choices of images that reach each subgroup, and reads injectivity and
-surjectivity off the size of each final image.  The free-function counter
-keeps one bit per function in a Python integer and tests every function
-against one generator per minimal subgroup.
+(index tables, element orders) and the lattice's one closure kernel,
+``lattice._close_mask``, which closes a subgroup under one more element
+(the trivial subgroup under x gives the cyclic subgroup of x).  The hom
+oracle uses that kernel too: it closes the image subgroup one generator
+image at a time, counting the choices of images that reach each subgroup,
+and reads injectivity and surjectivity off the size of each final image.
+The free-function counter keeps one bit per function in a Python integer
+and tests every function against one generator per minimal subgroup.
 Neither enters the type-level routes the oracles check (convolution over
 Hall-number pair multisets, closed-form counting), so a fault in those routes
 cannot be repeated here; the closure kernel is checked on its own, against
@@ -29,7 +29,7 @@ from operator import itemgetter
 
 from .errors import BoundExceededError
 from .grouptype import is_prime
-from .lattice import ConcreteGroup, Subgroup, _close_mask, _member_indices, _orbit_mask
+from .lattice import ConcreteGroup, Subgroup, _close_mask, _member_indices
 from .symgen import Permutation
 
 __all__ = [
@@ -95,7 +95,7 @@ def _minimal_subgroup_generators(G: ConcreteGroup) -> list[int]:
     reps = []
     for i in range(1, G.order):
         if is_prime(ar.orders[i]):
-            orbit = _orbit_mask(ar, i)
+            orbit = _close_mask(ar, 1, i)
             if orbit not in seen:
                 seen.add(orbit)
                 reps.append(i)

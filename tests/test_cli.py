@@ -419,7 +419,7 @@ def test_values_past_the_int_digit_limit_are_printed(capsys):
 
 def test_factorization_is_bounded():
     # 2^89 - 1 is prime: trial division to its square root would take days;
-    # the refusal comes after trial division to the bound, about 0.4 s
+    # the refusal comes after trial division to the bound, about 0.25 s
     proc = run_cli("eval", "phi", "618970019642690137449562111", timeout=30)
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -432,7 +432,7 @@ def test_factorization_is_bounded():
 
 def test_a_large_prime_is_factorized_once(capsys, monkeypatch):
     # 100000000000031 is prime and its square root is MAX_TRIAL_DIVISOR:
-    # a factorization takes about 0.4 s; canonicalize does it, and the type
+    # a factorization takes about 0.25 s; canonicalize does it, and the type
     # it builds carries its partitions to every later split
     from finabel import grouptype
 

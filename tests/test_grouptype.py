@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finabel.errors import BoundExceededError
 from finabel.grouptype import (
     GroupType,
     TRIVIAL_GROUP,
@@ -15,6 +16,7 @@ from finabel.grouptype import (
     canonicalize,
     cyclic,
     dim_p,
+    factorize,
     is_elementary,
     min_generators,
     parse_group_spec,
@@ -229,6 +231,37 @@ def test_types_of_order(monkeypatch):
     monkeypatch.setattr(grouptype, "factorize", counted)
     assert len(types_of_order(32 * 10000000000037)) == 7
     assert len(calls) == 1
+
+
+def plain_factorize(n):
+    """Reference factorization: trial division by every d >= 2."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_plain_trial_division():
+    for n in range(1, 20001):
+        got = factorize(n)
+        assert got == plain_factorize(n), n
+        assert list(got) == sorted(got), n
+    # answered near the bound: primes up to 10^6, and high prime powers
+    assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
+    assert factorize(97**6) == {97: 6}
+    assert factorize(2**40 * 3**10) == {2: 40, 3: 10}
+    # both primes pass MAX_TRIAL_DIVISOR = 10^7, so the cofactor is refused whole
+    with pytest.raises(BoundExceededError) as refusal:
+        factorize((10**7 + 19) * (10**7 + 79))
+    assert str(refusal.value) == (
+        "factorizing 100000980001501: trial division up to the square root 10000048"
+        " of the cofactor 100000980001501, above the bound 10000000"
+    )
 
 
 def test_parse_group_spec():

@@ -85,7 +85,7 @@ def test_lattice_re_exports_the_pair_multiset():
 
 def test_pair_multiset_does_not_factorize_again(monkeypatch):
     # the multiset is keyed on the type's partitions: a type built by
-    # canonicalize carries them, and this prime costs about 0.4 s to factorize
+    # canonicalize carries them, and this prime costs about 0.25 s to factorize
     from finabel import grouptype
     from finabel.functions import convolve, mu
 

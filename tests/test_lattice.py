@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,9 @@ from finabel.lattice import (
     Subgroup,
     _Arith,
     _arith,
+    _close_mask,
     _lattice,
     _lattice_pairs,
-    _orbit_mask,
     _translate,
     all_subgroups,
     element_order,
@@ -89,7 +91,7 @@ def test_index_arithmetic_matches_tuple_arithmetic():
                 while cur != G.zero:
                     multiples.add(ar.index[cur])
                     cur = G.add(cur, g)
-                assert _orbit_mask(ar, i) == sum(1 << j for j in multiples), (ms, g)
+                assert _close_mask(ar, 1, i) == sum(1 << j for j in multiples), (ms, g)
 
 
 def test_element_tables_are_bounded():
@@ -173,7 +175,7 @@ def test_orbit_masks_are_cached_up_to_a_bound():
     for _ in range(2):
         for x in range(0, 5000, 5):
             g = math.gcd(x, 5000)
-            assert _orbit_mask(ar, x) == ((1 << 5000) - 1) // ((1 << g) - 1), x
+            assert _close_mask(ar, 1, x) == ((1 << 5000) - 1) // ((1 << g) - 1), x
     assert len(ar._orbits) == 800 == 3 * MAX_LATTICE_WORK // 5000 - 1600
 
 
@@ -185,7 +187,7 @@ def test_element_tables_of_four_groups_stay_small():
     # starts afresh at exec and so does not see the parent's peak
     script = textwrap.dedent(
         """
-        from finabel.lattice import ConcreteGroup, _orbit_mask
+        from finabel.lattice import ConcreteGroup, _close_mask
 
         def peak_kb():
             with open("/proc/self/status") as status:
@@ -199,7 +201,7 @@ def test_element_tables_of_four_groups_stay_small():
             ar = G._arith
             for x in range(G.order):
                 G.add_row(x)
-                _orbit_mask(ar, x)
+                _close_mask(ar, 1, x)
                 ar.shifts(x)
         print((peak_kb() - base) / 1024)
         """
@@ -522,6 +524,60 @@ def test_type_from_order_statistics():
     for bad in ({1: 1, 2: 2}, {1: 2}, {2: 3}, {1: 1, 3: 1}, {}):
         with pytest.raises(ValueError):
             type_from_order_statistics(bad)
+    # orders and counts must be integers, not anything int() accepts
+    for bad in ({1: 1, 2: 1.5}, {1: 1, 2.7: 1}, {1: 1, "2": 1}, {1: 1, 2: "1"}):
+        with pytest.raises(ValueError, match="matches no abelian group"):
+            type_from_order_statistics(bad)
+
+
+def test_type_from_order_statistics_on_perturbed_profiles():
+    # one check decides: the decoder returns a type with exactly the given
+    # profile, or refuses it
+    rng = random.Random(25)
+    for T in types_up_to(200):
+        profile = element_order_profile(T)
+        orders = sorted(profile)
+        for _ in range(4):
+            bent = dict(profile)
+            change = rng.randrange(3)
+            if change == 0:  # change a count
+                d = rng.choice(orders)
+                bent[d] += rng.choice([-2, -1, 1, 2, T.order])
+            elif change == 1:  # drop an order
+                del bent[rng.choice(orders)]
+            else:  # add an order, or add to its count
+                d = rng.choice(orders) * rng.choice([2, 3, 5, 7])
+                bent[d] = bent.get(d, 0) + rng.randrange(1, 2 * T.order)
+            try:
+                got = type_from_order_statistics(bent)
+            except ValueError as refusal:
+                assert str(refusal).endswith("matches no abelian group"), bent
+            else:
+                assert element_order_profile(got) == {d: c for d, c in bent.items() if c}
+
+
+def test_type_from_order_statistics_refuses_oscillating_profiles_at_once(monkeypatch):
+    # counts q-1, 1, q-1, 1, ... on q, q^2, q^3, ... rebuild the cyclic group
+    # q^30 for each of ten primes, a candidate with 31^10 element orders; the
+    # decoder must refuse it by its order, never listing that profile
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    total = math.prod(primes)
+    profile = {1: 1}
+    for q in primes:
+        for k in range(1, 61):
+            profile[q**k] = q - 1 if k % 2 else 1
+    profile[6] = total - sum(profile.values())  # no pure power of a prime
+    real = lattice.element_order_profile
+
+    def sized(A):
+        assert A.order == total, A
+        return real(A)
+
+    monkeypatch.setattr(lattice, "element_order_profile", sized)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="matches no abelian group"):
+        type_from_order_statistics(profile)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_type_from_order_statistics_exhaustive():
