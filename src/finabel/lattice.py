@@ -32,13 +32,16 @@ form :func:`finabel.counting.element_order_profile`), and a
 Smith-normal-form computation on generator matrices; tests cross-check
 them.  The Smith route embeds G in (Z_n)^k, n the exponent of G, and
 reads H's invariant factors off one Smith form of the generators' image,
-one row per generator; :func:`quotient_type` takes G/H's from the Smith
-form of ``[diag(m) | generator columns]``, whose cokernel is G/H.  Both
-routes check each generator against the moduli first, so a tuple outside G
-raises ValueError.  Neither tracks row or column operations: the reduction
-eliminates rows and columns down to a diagonal, then turns its nonzero
-entries into a divisibility chain by replacing each pair (d_i, d_j), i < j,
-with (gcd, lcm)
+one row per generator.  :func:`quotient_type` reads G/H's off one Smith
+form too (:func:`_cokernel`): its rows are the generators and the
+relations m_i e_i with m_i < n, since n Z^k already holds the others.  For
+a homocyclic G = (Z_n)^k that is the generators alone, H's own matrix: if
+its Smith factors mod n are f_i, H is the sum of the Z_{n/f_i} and G/H of
+the Z_{f_i}, the duality G/H = H^perp.  Both routes check each generator
+against the moduli first, so a tuple outside G raises ValueError.  Neither
+tracks row or column operations: the reduction eliminates rows and columns
+down to a diagonal, then turns its nonzero entries into a divisibility
+chain by replacing each pair (d_i, d_j), i < j, with (gcd, lcm)
 (:func:`finabel.grouptype._normalize`): diag(a, b) is equivalent to
 diag(gcd(a, b), lcm(a, b)), and the Smith form is unique.
 
@@ -623,56 +626,59 @@ def smith_normal_form(M: IntMatrix) -> list[int]:
     return _snf(_validate_matrix(M))
 
 
-def _cokernel_type(M: list[list[int]], expected_order: int) -> GroupType:
-    """Type of ``Z^rows / columns(M)``, reducing ``M`` in place; raises
-    AssertionError unless it is finite of order ``expected_order``."""
-    diag = _snf(M)
-    if len(diag) < len(M) or any(d == 0 for d in diag):
-        raise AssertionError("cokernel is infinite: generator matrix not full rank")
-    result = GroupType(tuple(d for d in diag if d > 1))
-    if result.order != expected_order:
-        raise AssertionError(
-            f"cokernel order {result.order} != expected {expected_order}"
-        )
-    return result
-
-
 def _require_elements(G: ConcreteGroup, gens: Sequence[tuple[int, ...]]) -> None:
     """Raise the ValueError of :func:`_member_indices` for the first of
     ``gens`` that is not an element of ``G``: a tuple of the wrong length,
-    or with a coordinate outside [0, m_i), which reducing mod m_i moves."""
+    with a coordinate outside [0, m_i), which reducing mod m_i moves, or
+    with one that is not an int, such as 2.0, which makes the sum of the
+    coordinates a float."""
     moduli = G.moduli
     k = len(moduli)
     for g in gens:
-        if len(g) != k or tuple(map(mod, g, moduli)) != g:
-            G._require(g)
+        try:
+            if len(g) == k and tuple(map(mod, g, moduli)) == g and isinstance(sum(g), int):
+                continue
+        except TypeError:  # no length, or a coordinate that takes no mod or sum
+            pass
+        G._require(g)
 
 
-def _relations(moduli: Sequence[int], gens: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """``[diag(m_1..m_k) | generator columns]``: its cokernel is the quotient
-    of ``Z_m1 x ... x Z_mk`` by the subgroup the generators span.  Each
-    generator must have k coordinates (:func:`_require_elements`)."""
+def _cokernel(moduli: Sequence[int], gens: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors of the quotient of ``Z_m1 x ... x Z_mk`` by the
+    span of ``gens``, each with k coordinates (:func:`_require_elements`).
+
+    With n = lcm(m_i), the exponent, the quotient is Z^k modulo n Z^k, the
+    generators and the m_i e_i, and n Z^k already holds m_i e_i when
+    m_i = n.  So the rows are the generators and m_i e_i for m_i < n.  If
+    their Smith form is diag(d_i), the quotient is the sum over i <= k of
+    the Z_{gcd(d_i, n)}, with d_i = 0 past the rank; gcd keeps the
+    divisibility chain, and a d_i coprime to n gives Z_1."""
+    n = lcm(*moduli)
     k = len(moduli)
-    columns = list(zip(*gens)) or [()] * k  # coordinate i of every generator
-    rows = []
-    for i, (m, column) in enumerate(zip(moduli, columns)):
-        row = [0] * k
-        row[i] = m
-        row += column
-        rows.append(row)
-    return rows
+    rows = [list(g) for g in gens]
+    for i, m in enumerate(moduli):
+        if m != n:
+            row = [0] * k
+            row[i] = m
+            rows.append(row)
+    diag = _snf(rows)
+    return tuple([f for d in diag if (f := gcd(d, n)) > 1]) + (n,) * (k - len(diag))
 
 
 def quotient_type(G: ConcreteGroup, H: Subgroup) -> GroupType:
-    """Invariant factors of ``G/H`` via the Smith form of
-    ``[diag(m_1..m_k) | generator columns]``; |G/H| must be |G|/|H|.
-    Raises ValueError when a generator is not an element of ``G``."""
+    """Invariant factors of ``G/H`` from one Smith form of the generators
+    and the relations m_i e_i that the exponent leaves (:func:`_cokernel`);
+    |G/H| must be |G|/|H|.  Raises ValueError when a generator is not an
+    element of ``G``."""
     if H.parent != G:
         raise ValueError("subgroup does not belong to the given group")
     gens = H.generators or H.elements
     _require_elements(G, gens)
-    M = _relations(G.moduli, gens)
-    return _cokernel_type(M, expected_order=G.order // H.order)
+    result = GroupType(_cokernel(G.moduli, gens))
+    expected = G.order // H.order
+    if result.order != expected:
+        raise AssertionError(f"cokernel order {result.order} != expected {expected}")
+    return result
 
 
 def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
@@ -796,6 +802,9 @@ def _lattice_pairs(moduli: tuple[int, ...]) -> dict[tuple[GroupType, GroupType],
     counts: Counter = Counter()
     for idxs, gen_idxs in lattice:
         ht = _indices_type(ar, idxs)
-        M = _relations(moduli, [ar.elements[i] for i in gen_idxs])
-        counts[(ht, _cokernel_type(M, expected_order=ar.n // len(idxs)))] += 1
+        qt = GroupType(_cokernel(moduli, [ar.elements[i] for i in gen_idxs]))
+        expected = ar.n // len(idxs)
+        if qt.order != expected:
+            raise AssertionError(f"cokernel order {qt.order} != expected {expected}")
+        counts[(ht, qt)] += 1
     return dict(counts)

@@ -5,8 +5,8 @@ are enumerated in lexicographic tuple order).  For transpositions
 tau_i = (x_i y_i), the subgroup generated by the translations together with
 the tau_i is all of Sym(G) exactly when the differences y_i - x_i generate
 G.  That is decided by one Smith form, with no element listed: the
-differences generate G exactly when the cokernel of
-``[diag(m_1..m_k) | difference columns]`` is trivial.  The machinery behind
+differences generate G exactly when the quotient of G by their span has no
+invariant factor (:func:`finabel.lattice._cokernel`).  The machinery behind
 the criterion is implemented directly too: the interstice subgroup of a set
 of transpositions (the element-level route, kept as a check), and the group
 O(H) of isometries modulo a subgroup H (permutations moving every point by
@@ -24,11 +24,10 @@ from .grouptype import _frozen
 from .lattice import (
     ConcreteGroup,
     Subgroup,
+    _cokernel,
     _member_indices,
-    _relations,
     _translate,
     generated_subgroup,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -168,9 +167,8 @@ def generates_full_symmetric(
     G: ConcreteGroup, taus: Iterable[Transposition]
 ) -> bool:
     """True iff translations plus the given transpositions generate Sym(G):
-    every invariant factor of the quotient of G by the differences is 1."""
-    relations = _relations(G.moduli, _differences(G, taus))
-    return all(d == 1 for d in smith_normal_form(relations))
+    the quotient of G by the differences has no invariant factor."""
+    return not _cokernel(G.moduli, _differences(G, taus))
 
 
 def cycle_transposition_generates(n: int, i: int, j: int) -> bool:

@@ -23,6 +23,7 @@ from finabel.lattice import (
     _Arith,
     _arith,
     _close_mask,
+    _cokernel,
     _lattice,
     _lattice_pairs,
     _translate,
@@ -451,6 +452,70 @@ def test_quotient_type_examples():
     assert quotient_type(Z24, H) == cyclic(2)
     with pytest.raises(ValueError):
         quotient_type(Z4, generated_subgroup(Z22, [(1, 0)]))
+
+
+def full_relation_quotient(moduli, gens):
+    """Invariant factors of G/<gens> read off ``[diag(m) | generator
+    columns]``, the k x (k + r) matrix whose cokernel is the quotient."""
+    k = len(moduli)
+    columns = [list(c) for c in zip(*gens)] or [[] for _ in moduli]
+    rows = [[m if j == i else 0 for j in range(k)] + columns[i] for i, m in enumerate(moduli)]
+    diag = smith_normal_form(rows)
+    assert len(diag) == k and 0 not in diag  # diag(m) has full rank
+    return tuple(d for d in diag if d > 1)
+
+
+def test_quotient_type_matches_the_full_relation_matrix():
+    # quotient_type drops the relations m_i e_i with m_i the exponent
+    groups = [ConcreteGroup.from_type(T) for T in types_up_to(64)]
+    groups += [ConcreteGroup(ms) for ms in [(4, 6), (6, 10), (12, 18), (4, 6, 2)]]
+    for G in groups:
+        for H in all_subgroups(G):
+            for K in (H, Subgroup(G, H.elements)):
+                want = full_relation_quotient(G.moduli, K.generators or K.elements)
+                assert quotient_type(G, K).invariant_factors == want, (G, K.generators)
+    # the Smith entry 2 is coprime to the exponent 3: Z_1, no factor
+    Z3 = ConcreteGroup((3,))
+    assert _cokernel((3,), [(2,)]) == full_relation_quotient((3,), [(2,)]) == ()
+    assert quotient_type(Z3, generated_subgroup(Z3, [(2,)])) == TRIVIAL_GROUP
+
+
+@st.composite
+def moduli_and_generators(draw):
+    """Up to four moduli in 2..12 and up to seven generators, with zero
+    and repeated ones."""
+    moduli = tuple(draw(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=4)))
+    zero = (0,) * len(moduli)
+    element = st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in moduli))
+    gens = draw(st.lists(st.just(zero) | element, max_size=5))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    return moduli, gens
+
+
+@given(moduli_and_generators())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_cokernel_matches_the_full_relation_matrix(case):
+    moduli, gens = case
+    assert _cokernel(moduli, gens) == full_relation_quotient(moduli, gens)
+
+
+def test_homocyclic_subgroups_and_quotients_are_dual():
+    # PAPER.md's G/H = H^perp in G = (Z_n)^k: padded to k factors, H's
+    # descending and G/H's ascending pair up as n/f and f; the profile route
+    # and the Smith route share no code
+    for T in types_up_to(64):
+        factors = T.invariant_factors
+        if len(set(factors)) != 1:
+            continue
+        n, k = factors[0], len(factors)
+        G = ConcreteGroup(factors)
+        for H in all_subgroups(G):
+            sub = H.abstract_type.invariant_factors
+            quo = quotient_type(G, H).invariant_factors
+            sub = sorted(sub + (1,) * (k - len(sub)), reverse=True)
+            quo = sorted(quo + (1,) * (k - len(quo)))
+            assert [s * q for s, q in zip(sub, quo)] == [n] * k, (T, H.generators)
 
 
 def test_subgroups_carry_as_many_generators_as_invariant_factors():

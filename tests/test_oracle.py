@@ -6,7 +6,7 @@ import pytest
 from finabel import oracle
 from finabel.errors import BoundExceededError
 from finabel.functions import n_t
-from finabel.grouptype import canonicalize, is_prime, types_up_to
+from finabel.grouptype import TRIVIAL_GROUP, canonicalize, cyclic, is_prime, types_up_to
 from finabel.lattice import (
     ConcreteGroup,
     Subgroup,
@@ -318,3 +318,13 @@ def test_an_element_outside_the_parent_is_named():
     for read in (subgroup_type_via_snf, lambda H: quotient_type(Z4, H)):
         with pytest.raises(ValueError, match=r"^\(6,\) is not an element of Z_\(4,\)$"):
             read(H)
+    # a float coordinate is no element either, as ConcreteGroup.contains
+    # rules, given as a generator or, with none stored, as an element
+    for H in (Subgroup(Z4, [(0,), (2,)], [(2.0,)]), Subgroup(Z4, [(0,), (2.0,)])):
+        for read in (subgroup_type_via_snf, lambda H: quotient_type(Z4, H)):
+            with pytest.raises(ValueError, match=r"^\(2\.0,\) is not an element of Z_\(4,\)$"):
+                read(H)
+    # a bool is an int, so it is an element
+    H = Subgroup(Z4, [(0,), (1,), (2,), (3,)], [(True,)])
+    assert subgroup_type_via_snf(H) == cyclic(4)
+    assert quotient_type(Z4, H) == TRIVIAL_GROUP
