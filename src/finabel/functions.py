@@ -123,10 +123,12 @@ class AbelianFunction:
 
     ``by_order``, when given, marks a function whose value depends only on
     |G|: ``by_order(n)`` is its value on every group of order n, and
-    :func:`convolve` and :func:`inverse` then sum over subgroup types.
+    :func:`convolve` and :func:`inverse` then sum over subgroup types,
+    calling it once per term, unmemoized.  Integer values stay ints, so
+    the sums add plain ints.
     """
 
-    __slots__ = ("name", "_rule", "_memo", "multiplicative", "by_order", "_order_memo")
+    __slots__ = ("name", "_rule", "_memo", "multiplicative", "by_order")
 
     def __init__(
         self,
@@ -141,7 +143,6 @@ class AbelianFunction:
         self._memo: dict[GroupType, Fraction] = {}
         self.multiplicative = multiplicative
         self.by_order = by_order
-        self._order_memo: dict[int, int | Fraction] = {}
 
     def __call__(self, G: GroupType) -> Fraction:
         if not isinstance(G, GroupType):
@@ -170,15 +171,6 @@ class AbelianFunction:
             sum(map(int.bit_length, numerators)), sum(map(int.bit_length, denominators))
         ))
         return Fraction(prod(numerators), prod(denominators))
-
-    def at_order(self, n: int) -> int | Fraction:
-        """The value on every group of order n, memoized per n; only for a
-        function with a ``by_order`` evaluator.  Integer values stay ints,
-        so the sums over subgroups add plain ints."""
-        cached = self._order_memo.get(n)
-        if cached is None:
-            cached = self._order_memo.setdefault(n, self.by_order(n))
-        return cached
 
     def eval_by_rule(self, G: GroupType) -> Fraction:
         """Evaluate the defining rule directly, bypassing the multiplicative
@@ -226,7 +218,7 @@ def _subgroup_sum(
             r = len(lam)
             local = [(_mu_elementary(p, k) * _gauss(p, r, k), p**k) for k in range(r + 1)]
             terms = [(c * a, d * b) for c, d in terms for a, b in local]
-        return sum(c * g.at_order(n // d) for c, d in terms if not (proper and d == n))
+        return sum(c * g.by_order(n // d) for c, d in terms if not (proper and d == n))
     # s_nu(G) f(nu) over the subgroup types nu, s_nu(G) the product of
     # Birkhoff's counts over primes
     _check_terms(name, G, prod(_sub_partition_count(lam) for _, lam in components))
@@ -238,7 +230,7 @@ def _subgroup_sum(
             for nu, s in subgroup_types(p, lam)
         ]
     return sum(
-        count * (f.at_order(order) if f.by_order else f(_join(parts))) * g.at_order(n // order)
+        count * (f.by_order(order) if f.by_order else f(_join(parts))) * g.by_order(n // order)
         for count, parts, order in terms
         if not (proper and order == n)
     )

@@ -12,19 +12,21 @@ strikes off H + x and, when J > 2, every H + j*x with gcd(j, J) = 1: each
 generates the same cyclic subgroup of G/H as x, so the same closure.  So
 from H the search walks each nontrivial cyclic subgroup C of G/H once, with
 |C| - 1 translations.  The trivial subgroup takes the same walk (its cosets
-are single bits), with no cached orbit masks.
+are single bits), and so does every other closure: :func:`_close_mask` is
+the one closure kernel, for :func:`generated_subgroup` and the oracles.
 
-Index arithmetic (element orders, negation, translation rows, cyclic
-orbits) is built in mixed radix, one coordinate at a time, on plain ints.
-A mask is translated by shifts, not element by element: adding x rotates
-each coordinate c by its digit d, which moves the indices whose digit is
-below m_c - d up by d times the stride and the others down by m_c - d
-times it, two shifts of the whole mask per nonzero digit
-(:meth:`_Arith.shifts`).  Translation rows, one index per element, serve
-only the element API (``ConcreteGroup.add_row``) and the oracles that take
-permutations of G; they are built afresh on each call.  Only masks are
-cached: the shift masks and lists and the cyclic orbits of one group share
-one budget of ``3 * MAX_LATTICE_WORK // |G|`` masks (:meth:`_Arith._keep`).
+Index arithmetic (element orders, negation, translation rows) is built in
+mixed radix, one coordinate at a time, on plain ints.  A mask is translated
+by shifts, not element by element: adding x rotates each coordinate c by
+its digit d, which moves the indices whose digit is below m_c - d up by d
+times the stride and the others down by m_c - d times it, two shifts of the
+whole mask per nonzero digit (:meth:`_Arith.shifts`).  Translation rows,
+one index per element, serve only the element API (``ConcreteGroup.add_row``)
+and the oracles that take permutations of G; they are built afresh on each
+call.  Only masks are cached: the shift list of each element and the
+cyclic subgroup <x> that :func:`_close_mask` closes from the trivial
+subgroup, kept while they fit the room of ``3 * MAX_LATTICE_WORK // |G|``
+masks per group.
 
 Two independent routes compute the abstract type of a subgroup: greedy
 reconstruction from the element-order profile (checked against the closed
@@ -109,7 +111,7 @@ IntMatrix = Sequence[Sequence[int]]
 # so it overstates groups with long cyclic quotients: Z_4096 comes to
 # |G|^2 = 1.7e7 and is refused, yet its walk takes 0.02 s.  Times on a
 # 2-CPU Intel Xeon, Python 3.11, shared host.  It also sets the room of the
-# mask caches of each group (_Arith._keep): 3 * MAX_LATTICE_WORK bits.
+# mask caches of each group (_Arith): 3 * MAX_LATTICE_WORK bits.
 MAX_LATTICE_WORK = 4_000_000
 
 
@@ -148,11 +150,12 @@ class _Arith:
     Elements are indexed 0..n-1 in lexicographic tuple order, so index 0 is
     the identity and the index of (d_1, ..., d_k) is the sum of d_c times
     the stride of coordinate c, the product of the moduli after it.
-    Translation masks and shift lists, and the masks of cyclic subgroups,
-    are built lazily and cached under one budget of ``3 * MAX_LATTICE_WORK
-    // n`` entries, each counted as one mask of n bits: a group that
-    :func:`_lattice` admits has n^2 <= ``MAX_LATTICE_WORK``, so its at most
-    3n masks always fit.  Translation rows are not cached.
+    Shift lists, and the cyclic subgroups :func:`_close_mask` closes, are
+    built lazily and cached while the room lasts: ``3 * MAX_LATTICE_WORK
+    // n`` masks of n bits, each shift list charged its number of masks.
+    Every group :func:`_lattice` admits has at most 2,000 elements and
+    fits all its shift lists in 76% of the room or less.  Translation rows
+    are not cached.
     """
 
     def __init__(self, moduli: tuple[int, ...]):
@@ -175,21 +178,12 @@ class _Arith:
         )
         # digit times stride, per coordinate; a translation rotates each one
         self._digits = [[d * s for d in range(m)] for m, s in zip(moduli, self.strides)]
-        # the mask caches, filled only through _keep; _moves[c][d] is the
-        # entry of shifts() for digit d in coordinate c
-        self._moves: list[dict[int, tuple[int, int, int]]] = [{} for _ in moduli]
-        self._shifts: dict[int, list[tuple[int, int, int]]] = {}  # x -> shifts(x)
-        self._orbits: dict[int, int] = {}  # x -> _cyclic_mask(self, x), for _close_mask
-        # entries the mask caches may still take, each one mask of n bits
+        # the mask caches, kept while the room lasts: x -> shifts(x), and
+        # x -> <x> for _close_mask, which closes it once per group
+        self._shifts: dict[int, list[tuple[int, int, int]]] = {}
+        self._orbits: dict[int, int] = {}
+        # masks of n bits the caches may still take
         self._room = 3 * MAX_LATTICE_WORK // self.n
-
-    def _keep(self, cache: dict, key: int, value):
-        """Store ``cache[key] = value`` while the mask caches have room, and
-        return ``value``.  Called on a miss only; the room only shrinks."""
-        if self._room > 0:
-            self._room -= 1
-            cache[key] = value
-        return value
 
     def row(self, x: int) -> list[int]:
         """Translation row: ``row(x)[i]`` is the index of ``e_i + e_x``.
@@ -203,23 +197,20 @@ class _Arith:
         down)`` per nonzero digit d of x in coordinate c, with stride s and
         modulus m.  Index i moves up by ``up = d*s`` when its digit is below
         m - d, the bits of ``low``, and down by ``down = (m - d)*s``
-        otherwise.  The ``low`` masks and the list itself are cached
-        through :meth:`_keep`."""
+        otherwise.  The list is cached while the room holds its masks."""
         out = self._shifts.get(x)
         if out is not None:
             return out
         out = []
-        for c, d in enumerate(self.elements[x]):
+        for m, s, d in zip(self.moduli, self.strides, self.elements[x]):
             if d:
-                move = self._moves[c].get(d)
-                if move is None:
-                    m, s = self.moduli[c], self.strides[c]
-                    # the low (m - d)*s indices of each block of m*s indices
-                    blocks = ((1 << self.n) - 1) // ((1 << m * s) - 1)
-                    low = ((1 << (m - d) * s) - 1) * blocks
-                    move = self._keep(self._moves[c], d, (low, d * s, (m - d) * s))
-                out.append(move)
-        return self._keep(self._shifts, x, out)
+                # the low (m - d)*s indices of each block of m*s indices
+                blocks = ((1 << self.n) - 1) // ((1 << m * s) - 1)
+                out.append((((1 << (m - d) * s) - 1) * blocks, d * s, (m - d) * s))
+        if len(out) <= self._room:
+            self._room -= len(out)
+            self._shifts[x] = out
+        return out
 
 
 # _arith refuses to build the tables of a group with more elements than
@@ -406,46 +397,31 @@ def _translate(mask: int, shifts: list[tuple[int, int, int]]) -> int:
     return mask
 
 
-def _cyclic_mask(ar: _Arith, x: int) -> int:
-    """The mask of the cyclic subgroup generated by element ``x``, which
-    :func:`_close_mask` caches for the trivial subgroup: column c holds the
-    index contributions of coordinate c of 0, x, 2x, ..., one period
-    repeated up to the order of x."""
-    order = ar.orders[x]
-    columns = []
-    for m, s, c in zip(ar.moduli, ar.strides, ar.elements[x]):
-        period = m // gcd(m, c)
-        columns.append([(j * c % m) * s for j in range(period)] * (order // period))
-    # the order(x) multiples are distinct, so summing their bits ORs them
-    return sum(map((1).__lshift__, map(sum, zip(*columns))))
-
-
-def _close_cosets(
-    mask: int, shifts: list[tuple[int, int, int]], neg_x: int, coset: int
-) -> int:
-    """The union of the cosets mask + j*x, given ``shifts = ar.shifts(x)``,
-    the index ``neg_x`` of -x and the first coset, ``coset = mask + x``; x
-    is not in ``mask``.  Cosets are added until the next one would be mask
-    itself: mask + (j+1)*x = mask exactly when mask + j*x holds -x."""
-    closed = mask | coset
-    while not (coset >> neg_x) & 1:
-        coset = _translate(coset, shifts)
-        closed |= coset
-    return closed
-
-
 def _close_mask(ar: _Arith, mask: int, x: int) -> int:
-    """Close ``mask`` (a subgroup) under the extra generator ``x``:
-    the union of the cosets mask + j*x.  On the trivial subgroup this is the
-    cyclic subgroup of x, cached on ``ar`` through :meth:`_Arith._keep`; it
-    serves :func:`generated_subgroup` and the oracles."""
+    """Close ``mask`` (a subgroup) under the extra generator ``x``: the
+    union of the cosets mask + j*x, each translated from the one before by
+    ``ar.shifts(x)``.  Cosets are added until the next one would be mask
+    itself: mask + (j+1)*x = mask exactly when mask + j*x holds -x.  On the
+    trivial subgroup each coset is one bit, and the union <x> is cached on
+    ``ar`` while the room lasts: the hom oracle closes it again for every
+    source group."""
     if (mask >> x) & 1:
         return mask
     if mask == 1:
         orbit = ar._orbits.get(x)
-        return orbit if orbit is not None else ar._keep(ar._orbits, x, _cyclic_mask(ar, x))
+        if orbit is not None:
+            return orbit
     shifts = ar.shifts(x)
-    return _close_cosets(mask, shifts, ar.neg[x], _translate(mask, shifts))
+    neg_x = ar.neg[x]
+    coset = _translate(mask, shifts)
+    closed = mask | coset
+    while not (coset >> neg_x) & 1:
+        coset = _translate(coset, shifts)
+        closed |= coset
+    if mask == 1 and ar._room:
+        ar._room -= 1
+        ar._orbits[x] = closed
+    return closed
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
@@ -462,8 +438,8 @@ def _lattice(moduli: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
     """All subgroups of the product group, as (element indices, generator
     indices), sorted by (order, element index list).  Refuses groups whose
     predicted work passes ``MAX_LATTICE_WORK``.  One coset walk per cyclic
-    extension (see the module docstring); the cyclic-subgroup masks that
-    :func:`_close_mask` caches are neither read nor filled."""
+    extension (see the module docstring), as :func:`_close_mask` walks, with
+    the cosets kept to strike off the ones that close alike."""
     _check_lattice_work(moduli)
     ar = _arith(moduli)
     full = (1 << ar.n) - 1
@@ -689,48 +665,45 @@ def type_from_order_statistics(profile: Mapping[int, int]) -> GroupType:
     input; raises ValueError when an order or count is not an integer or no
     abelian group matches.
     """
-    bad = ValueError(f"profile {dict(profile)!r} matches no abelian group")
+
+    def bad() -> ValueError:  # built on refusal only: a huge profile formats slowly
+        return ValueError(f"profile {dict(profile)!r} matches no abelian group")
+
     if not all(isinstance(d, int) and isinstance(c, int) for d, c in profile.items()):
-        raise bad
+        raise bad()
     clean = {d: c for d, c in profile.items() if c}
     if any(d < 1 or c < 0 for d, c in clean.items()):
-        raise bad
+        raise bad()
     total = sum(clean.values())
     if total < 1 or clean.get(1) != 1:
-        raise bad
+        raise bad()
     components = []
     for p in factorize(total):
-        # counts of elements whose order is a pure power of p rebuild the
-        # p-part: #{order | p^k} must be p^(sum of min(k, lambda_i))
-        pure = {}
-        for d, c in clean.items():
-            k, m = 0, d
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m == 1 and k >= 1:
-                pure[k] = c
-        if not pure:
-            raise bad
-        top = max(pure)
-        cum = 1
-        heights = [0]
-        for k in range(1, top + 1):
-            cum += pure.get(k, 0)
-            c, e = cum, 0
-            while c % p == 0:
-                c //= p
+        # #{order | p^k} is p^(sum of min(k, lambda_i)), so each ratio of
+        # consecutive counts is p^(number of parts >= k)
+        parts_ge = []
+        below, q = 1, p  # below = #{order | q/p}
+        while q in clean:
+            ratio, rest = divmod(below + clean[q], below)
+            if rest:
+                raise bad()
+            below += clean[q]
+            q *= p
+            e = 0
+            while ratio % p == 0:
+                ratio //= p
                 e += 1
-            heights.append(e)
+            parts_ge.append(e)
+        if not parts_ge:
+            raise bad()
         # a bad profile still gives a partition here; the final check refuses it
-        parts_ge = [heights[j] - heights[j - 1] for j in range(1, top + 1)]
         lam = tuple(sum(1 for a in parts_ge if a > i) for i in range(parts_ge[0]))
         components.append((p, lam))
     candidate = _join(components)  # primes from factorize
     # the order test is implied by the profile test, but bounds its work: a
     # bad profile can rebuild a candidate with far more element orders
     if candidate.order != total or element_order_profile(candidate) != clean:
-        raise bad
+        raise bad()
     return candidate
 
 

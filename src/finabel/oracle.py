@@ -5,7 +5,8 @@ convolution/Moebius formula code paths.  Two things are shared with the
 rest of the library: the raw element arithmetic of :class:`ConcreteGroup`
 (index tables, element orders) and the lattice's one closure kernel,
 ``lattice._close_mask``, which closes a subgroup under one more element
-(the trivial subgroup under x gives the cyclic subgroup of x).  The hom
+by the coset walk of the lattice search (the trivial subgroup under x
+gives the cyclic subgroup of x, one bit per coset).  The hom
 oracle uses that kernel too: it closes the image subgroup one generator
 image at a time, counting the choices of images that reach each subgroup,
 and reads injectivity and surjectivity off the size of each final image.

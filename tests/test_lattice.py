@@ -150,34 +150,46 @@ def test_shift_translation_matches_rows():
 
 
 def test_translation_masks_are_cached_up_to_a_bound():
-    # Z_5000: the shift masks (one of 5000 bits per digit) and the shift
-    # lists share room for 3 * MAX_LATTICE_WORK // 5000 = 2400 masks; later
-    # ones are built uncached, and every translation is right both times
+    # Z_5000: each shift list holds one mask of 5000 bits, and the lists
+    # share room for 3 * MAX_LATTICE_WORK // 5000 = 2400 masks; later ones
+    # are built uncached, and every translation is right both times
     ar = _Arith((5000,))
     for _ in range(2):
         for x in range(5000):
             assert _translate(1, ar.shifts(x)) == 1 << x
             assert _translate(1 << 4999, ar.shifts(x)) == 1 << (x - 1) % 5000
-    kept = [len(ar._moves[0]), len(ar._shifts)]
-    assert sum(kept) == 2400 == 3 * MAX_LATTICE_WORK // 5000
-    assert min(kept) > 0 and ar._room == 0
+    assert sum(map(len, ar._shifts.values())) == 2400 == 3 * MAX_LATTICE_WORK // 5000
+    assert ar._room == 0
 
 
 def test_orbit_masks_are_cached_up_to_a_bound():
-    # Z_5000: the shift lists of elements 1..800, with their shift masks,
-    # take 1600 of the 2400 masks of room, so 800 orbit masks (one of 5000 bits per element)
-    # are kept and later ones are built uncached.  The multiples of 5 keep
-    # the orders, and so the builds, small; <x> is the set of multiples of
-    # gcd(x, 5000), a repunit in base 2^gcd
+    # Z_5000: the shift lists of elements 1..800 take 800 of the 2400 masks
+    # of room.  Closing the trivial subgroup under a multiple x of 5 keeps
+    # <x>, one mask more, and the shift list of x if it is new: the 160
+    # multiples up to 800 and then 720 more, two masks each, fill the room,
+    # and later orbits are walked uncached, both times.  The multiples of 5
+    # keep the orders, and so the walks, short; <x> is the set of multiples
+    # of gcd(x, 5000), a repunit in base 2^gcd
     ar = _Arith((5000,))
     for x in range(1, 801):
         ar.shifts(x)
-    assert len(ar._moves[0]) + len(ar._shifts) == 1600
     for _ in range(2):
         for x in range(0, 5000, 5):
             g = math.gcd(x, 5000)
             assert _close_mask(ar, 1, x) == ((1 << 5000) - 1) // ((1 << g) - 1), x
-    assert len(ar._orbits) == 800 == 3 * MAX_LATTICE_WORK // 5000 - 1600
+    assert sorted(ar._orbits) == list(range(5, 4405, 5))
+    assert sum(map(len, ar._shifts.values())) + len(ar._orbits) == 2400 and ar._room == 0
+
+
+@pytest.mark.parametrize("moduli", [(1999,), (1024,), (8, 8, 8), (2, 4, 8, 16), (3, 9, 27)])
+def test_the_room_fits_every_shift_list_of_the_lattice_walk(moduli, monkeypatch):
+    asked = set()
+    shifts = _Arith.shifts
+    monkeypatch.setattr(_Arith, "shifts", lambda ar, x: asked.add(x) or shifts(ar, x))
+    _arith.cache_clear()
+    _lattice.cache_clear()
+    _lattice(moduli)
+    assert asked and asked <= _arith(moduli)._shifts.keys()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
@@ -643,6 +655,17 @@ def test_type_from_order_statistics_refuses_oscillating_profiles_at_once(monkeyp
     with pytest.raises(ValueError, match="matches no abelian group"):
         type_from_order_statistics(profile)
     assert time.perf_counter() - start < 1.0
+
+
+def test_type_from_order_statistics_decodes_huge_cyclic_profiles():
+    # the counts of Z_{2^k} have about k bits each, past the 4300-digit limit
+    # of int-to-str conversion for k = 15000; the decoder formats none of
+    # them and reads each order 2^j once
+    start = time.perf_counter()
+    for k in (4000, 15000):
+        T = cyclic(2**k)
+        assert type_from_order_statistics(element_order_profile(T)) == T
+    assert time.perf_counter() - start < 5.0
 
 
 def test_type_from_order_statistics_exhaustive():

@@ -179,14 +179,21 @@ def test_enumerate_homs_merges_shared_images():
     assert enumerate_homs(F, F) == (65536, 20160, 20160)
 
 
-def test_verify_homs_builds_each_orbit_mask_once(monkeypatch):
-    # the B-outer sweep reads each cyclic subgroup of B from B's element
-    # tables: at most one build per element of each B, 491 in all
+def test_verify_homs_builds_each_shift_list_once(monkeypatch):
+    # the B-outer sweep closes the image subgroups in B's element tables,
+    # whose room keeps every shift list: at most one build per element of
+    # each B, 491 in all
     from finabel import lattice, verify
 
     builds = []
-    build = lattice._cyclic_mask
-    monkeypatch.setattr(lattice, "_cyclic_mask", lambda ar, x: builds.append(x) or build(ar, x))
+    shifts = lattice._Arith.shifts
+
+    def counted(ar, x):
+        if x not in ar._shifts:
+            builds.append(x)
+        return shifts(ar, x)
+
+    monkeypatch.setattr(lattice._Arith, "shifts", counted)
     lattice._arith.cache_clear()
     assert verify.run("homs", 24) == (1369, [])
     assert len(builds) <= sum(T.order for T in types_up_to(24)) == 491
